@@ -186,4 +186,21 @@ grep -q '"baseline"' results/bench_smoke_ci_diff.json \
 grep -q '"speedup"' results/bench_smoke_ci_diff.json \
     || { echo "ci.sh: speedup fields missing from smoke artifact"; exit 1; }
 
+echo "==> perfbench (the benchmark builds, its tests pass, both workloads stay correct)"
+# The benchmark is its own cargo workspace, so nothing above builds it.
+# A short seed-1 run checks each workload's per-point fingerprint against
+# perfbench/pinned.txt: a change that moves simulated behavior (or a
+# pinned counter) fails here instead of first in a benchmark run.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+for w in kilofabric-n1024 campaign-n16; do
+    pb_out=$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 1 --trace 0) || {
+        printf '%s\n' "$pb_out"
+        echo "ci.sh: perfbench $w exited with an error"
+        exit 1
+    }
+    printf '%s\n' "$pb_out" | tail -1 | grep -q '"correct": true' \
+        || { printf '%s\n' "$pb_out"; echo "ci.sh: perfbench $w is not correct"; exit 1; }
+done
+
 echo "ci.sh: all green"

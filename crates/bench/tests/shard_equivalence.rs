@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use xds_bench::bench;
 use xds_core::{ShardMap, SimBuilder};
-use xds_scenario::{library, ScenarioSpec};
+use xds_scenario::{library, PlacementKind, ScenarioSpec, SwModelKind, SyncSpec};
 use xds_sim::{SimDuration, SimTime};
 
 /// Counters that are shard-count-invariant by contract: pure functions
@@ -166,6 +166,62 @@ fn faulted_point_reproduces_on_sharded_cores_and_scattered_maps() {
     );
     assert_eq!(got.fault_degraded_ns, reference.fault_degraded_ns);
     assert_eq!(got.fault_failover_bytes, reference.fault_failover_bytes);
+}
+
+/// The sharded core stages whole flows at their source hosts and cuts
+/// packets at the NIC, where the classic core materializes every packet
+/// at injection. Two points stress the difference: `voip-mix`, whose
+/// interactive app packets pre-empt bulk flows halfway through being
+/// cut, and software placement, where gated bulk stays materialized in
+/// host VOQs (it feeds scheduler requests at injection) beside staged
+/// short flows — once with the VOIP legs staged, once (`voip_on_ocs`)
+/// with them gated into the VOQs too.
+#[test]
+fn staged_flows_reproduce_voip_mix_and_software_placement() {
+    let voip = library::scenario("voip-mix")
+        .expect("catalogue entry")
+        .with_ports(8)
+        .with_duration(SimDuration::from_millis(3))
+        .with_seed(7);
+    let software = PlacementKind::Software {
+        model: SwModelKind::TunedUserspace,
+        sync: SyncSpec::Ptp,
+    };
+    let points = [
+        voip.clone(),
+        voip.clone()
+            .with_name("voip-mix-sw")
+            .with_placement(software.clone()),
+        voip.with_name("voip-mix-sw-ocs")
+            .with_placement(software)
+            .with_voip_on_ocs(true),
+    ];
+    for spec in points {
+        let reference = spec
+            .clone()
+            .with_shards(1)
+            .run()
+            .expect("classic core runs");
+        assert!(
+            reference.delivered_bytes() > 0,
+            "{} must deliver traffic",
+            spec.name
+        );
+        let ref_json = reference.trace_json();
+        for k in [2usize, 4] {
+            let got = spec
+                .clone()
+                .with_shards(k)
+                .run()
+                .unwrap_or_else(|e| panic!("{} at {k} shards: {e}", spec.name));
+            assert_eq!(
+                got.trace_json(),
+                ref_json,
+                "{} diverged from the classic core at {k} shards",
+                spec.name
+            );
+        }
+    }
 }
 
 /// The golden fast-mode point, exactly as `tests/golden_trace.rs` pins

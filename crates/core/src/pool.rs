@@ -17,10 +17,41 @@
 //! on the free list or reachable from exactly one FIFO, and a packet
 //! dropped *before* admission never touches the pool (so it cannot leak
 //! or double-free a chunk).
+//!
+//! The slab is *segmented*: segment `s` holds `16 << s` chunks and is
+//! allocated whole the first time it is needed, so the slab doubles its
+//! capacity by allocating one new segment. Growth never moves a chunk —
+//! a flat `Vec` slab would `realloc` (copy) the whole pool each time it
+//! doubles — and the geometric sizes keep small pools (one per run, one
+//! per shard) at one small allocation. A chunk id carries its segment in
+//! its top bits and its offset in the rest, so finding a chunk is a shift
+//! and a mask into an inline segment table.
 
 use xds_net::Packet;
 
 const NIL: u32 = u32::MAX;
+
+/// Chunks in the slab's first segment; segment `s` holds
+/// `FIRST_SEG << s`.
+const FIRST_SEG: usize = 16;
+/// Low bits of a chunk id: the chunk's offset within its segment.
+const OFF_BITS: u32 = 27;
+/// Segments in use at most: the largest, `FIRST_SEG << 23`, is exactly
+/// `1 << OFF_BITS` chunks.
+const MAX_SEGS: usize = 24;
+/// Slots in the segment table: one per value the id's top bits can take,
+/// so indexing the table never needs a bounds check (`NIL` names slot 31,
+/// which stays empty, like every slot from `MAX_SEGS` up).
+const SEG_SLOTS: usize = 1 << (32 - OFF_BITS);
+
+/// Segment and offset of chunk `c`.
+#[inline]
+fn locate(c: u32) -> (usize, usize) {
+    (
+        (c >> OFF_BITS) as usize,
+        (c & ((1 << OFF_BITS) - 1)) as usize,
+    )
+}
 
 /// Packets per pool chunk: four 40-byte descriptors plus the link fit in
 /// three cache lines, and a FIFO touches a new chunk only every fourth
@@ -76,7 +107,13 @@ impl PktFifo {
 /// The shared chunk slab plus its free list and conservation counters.
 #[derive(Debug)]
 pub struct PacketPool {
-    chunks: Vec<Chunk>,
+    /// Geometric slab segments (see the module docs); each is allocated
+    /// at its full capacity and only ever pushed into, never reallocated.
+    segs: [Vec<Chunk>; SEG_SLOTS],
+    /// The segment new chunks are appended to.
+    grow_seg: usize,
+    /// Chunks ever allocated (the slab's length across all segments).
+    n_chunks: usize,
     /// Free chunks form a FIFO through `next`.
     free_head: u32,
     free_tail: u32,
@@ -104,7 +141,9 @@ impl PacketPool {
     /// forever after.
     pub fn new() -> Self {
         PacketPool {
-            chunks: Vec::new(),
+            segs: std::array::from_fn(|_| Vec::new()),
+            grow_seg: 0,
+            n_chunks: 0,
             free_head: NIL,
             free_tail: NIL,
             free_chunks: 0,
@@ -116,6 +155,18 @@ impl PacketPool {
         }
     }
 
+    #[inline]
+    fn chunk(&self, c: u32) -> &Chunk {
+        let (s, o) = locate(c);
+        &self.segs[s][o]
+    }
+
+    #[inline]
+    fn chunk_mut(&mut self, c: u32) -> &mut Chunk {
+        let (s, o) = locate(c);
+        &mut self.segs[s][o]
+    }
+
     /// Takes a chunk off the free FIFO (or grows the slab), seeding every
     /// slot with `p` (slot 0 is the live one; the rest are overwritten as
     /// the chunk fills).
@@ -123,23 +174,34 @@ impl PacketPool {
     fn alloc_chunk(&mut self, p: Packet) -> u32 {
         if self.free_head != NIL {
             let c = self.free_head;
-            self.free_head = self.chunks[c as usize].next;
+            self.free_head = self.chunk(c).next;
             if self.free_head == NIL {
                 self.free_tail = NIL;
             }
             self.free_chunks -= 1;
-            let chunk = &mut self.chunks[c as usize];
+            let chunk = self.chunk_mut(c);
             chunk.pkts[0] = p;
             chunk.next = NIL;
             c
         } else {
-            assert!(self.chunks.len() < NIL as usize, "packet pool overflow");
             self.chunk_growths += 1;
-            self.chunks.push(Chunk {
+            let mut sg = self.grow_seg;
+            if self.segs[sg].len() == FIRST_SEG << sg {
+                sg += 1;
+                assert!(sg < MAX_SEGS, "packet pool overflow");
+                self.grow_seg = sg;
+            }
+            let seg = &mut self.segs[sg];
+            if seg.is_empty() {
+                seg.reserve_exact(FIRST_SEG << sg);
+            }
+            let c = ((sg as u32) << OFF_BITS) | seg.len() as u32;
+            seg.push(Chunk {
                 pkts: [p; CHUNK_PKTS],
                 next: NIL,
             });
-            (self.chunks.len() - 1) as u32
+            self.n_chunks += 1;
+            c
         }
     }
 
@@ -148,11 +210,12 @@ impl PacketPool {
     /// chunk they have just unlinked from a FIFO.
     #[inline]
     fn free_chunk(&mut self, c: u32) {
-        self.chunks[c as usize].next = NIL;
+        self.chunk_mut(c).next = NIL;
         if self.free_tail == NIL {
             self.free_head = c;
         } else {
-            self.chunks[self.free_tail as usize].next = c;
+            let tail = self.free_tail;
+            self.chunk_mut(tail).next = c;
         }
         self.free_tail = c;
         self.free_chunks += 1;
@@ -163,7 +226,7 @@ impl PacketPool {
     pub fn push(&mut self, f: &mut PktFifo, p: Packet) {
         if f.tail != NIL && (f.tail_len as usize) < CHUNK_PKTS {
             // Fast path: room in the tail chunk.
-            self.chunks[f.tail as usize].pkts[f.tail_len as usize] = p;
+            self.chunk_mut(f.tail).pkts[f.tail_len as usize] = p;
             f.tail_len += 1;
         } else {
             let c = self.alloc_chunk(p);
@@ -171,7 +234,7 @@ impl PacketPool {
                 f.head = c;
                 f.head_off = 0;
             } else {
-                self.chunks[f.tail as usize].next = c;
+                self.chunk_mut(f.tail).next = c;
             }
             f.tail = c;
             f.tail_len = 1;
@@ -189,7 +252,7 @@ impl PacketPool {
         if f.head == NIL {
             return None;
         }
-        Some(&self.chunks[f.head as usize].pkts[f.head_off as usize])
+        Some(&self.chunk(f.head).pkts[f.head_off as usize])
     }
 
     /// Removes and returns the front packet of `f`, releasing its chunk
@@ -200,7 +263,7 @@ impl PacketPool {
             return None;
         }
         let head = f.head;
-        let p = self.chunks[head as usize].pkts[f.head_off as usize];
+        let p = self.chunk(head).pkts[f.head_off as usize];
         f.head_off += 1;
         self.live_pkts -= 1;
         self.frees += 1;
@@ -210,7 +273,7 @@ impl PacketPool {
             f.head_off as usize == CHUNK_PKTS
         };
         if exhausted {
-            let next = self.chunks[head as usize].next;
+            let next = self.chunk(head).next;
             self.free_chunk(head);
             if f.head == f.tail {
                 *f = PktFifo::new();
@@ -247,7 +310,7 @@ impl PacketPool {
                 CHUNK_PKTS as u8
             };
             while off < limit {
-                let pkt = self.chunks[head as usize].pkts[off as usize];
+                let pkt = self.chunk(head).pkts[off as usize];
                 let b = pkt.bytes as u64;
                 if used + b > budget_bytes {
                     break 'drain;
@@ -267,7 +330,7 @@ impl PacketPool {
                 }
                 break;
             }
-            let next = self.chunks[head as usize].next;
+            let next = self.chunk(head).next;
             self.free_chunk(head);
             head = next;
             off = 0;
@@ -288,7 +351,7 @@ impl PacketPool {
 
     /// Chunks currently reachable from some FIFO (not on the free list).
     pub fn chunks_in_use(&self) -> usize {
-        self.chunks.len() - self.free_chunks
+        self.n_chunks - self.free_chunks
     }
 
     /// Packets ever pushed into this pool.
@@ -411,7 +474,7 @@ mod tests {
             }
             while pool.pop(&mut f).is_some() {}
         }
-        assert_eq!(pool.chunks.len(), 2, "slab stays at peak footprint");
+        assert_eq!(pool.n_chunks, 2, "slab stays at peak footprint");
         pool.debug_assert_conserved();
     }
 
@@ -461,6 +524,147 @@ mod tests {
         bad.frees = 1; // simulate a free the live count never saw
         let err = bad.check_conserved().unwrap_err();
         assert!(err.contains("leak"), "{err}");
+    }
+
+    /// `(chunk_growths, allocs, frees, live_peak)` of the scripted test
+    /// below, as measured on the flat single-`Vec` slab.
+    const SCRIPT_LEDGER: (u64, u64, u64, u64) = (920, 20_790, 20_790, 3_664);
+
+    /// Segments holding at least one chunk.
+    fn segments(pool: &PacketPool) -> usize {
+        pool.segs.iter().filter(|s| !s.is_empty()).count()
+    }
+
+    #[test]
+    fn new_chunks_fill_geometric_segments_in_order() {
+        assert_eq!(SEG_SLOTS, 32);
+        assert_eq!(FIRST_SEG << (MAX_SEGS - 1), 1 << OFF_BITS);
+        assert_eq!(locate(NIL).0, SEG_SLOTS - 1, "NIL names an unused slot");
+        let mut pool = PacketPool::new();
+        let mut f = PktFifo::new();
+        // Chunk ids in growth order: (0, 0..16), (1, 0..32), (2, 0..64), …
+        let mut want = Vec::new();
+        for s in 0..5 {
+            for o in 0..FIRST_SEG << s {
+                want.push((s, o));
+            }
+        }
+        let mut got = Vec::new();
+        for i in 0..want.len() * CHUNK_PKTS {
+            pool.push(&mut f, pkt(i as u64, 10));
+            if i % CHUNK_PKTS == 0 {
+                got.push(locate(f.tail));
+            }
+        }
+        assert_eq!(got, want);
+        assert_eq!(segments(&pool), 5);
+        for (s, seg) in pool.segs.iter().enumerate().take(5) {
+            assert!(
+                seg.capacity() >= FIRST_SEG << s,
+                "segment {s} allocated whole"
+            );
+        }
+    }
+
+    /// FIFOs whose chunk runs straddle segment boundaries (and recycle
+    /// across them through the free list) keep exact order, and the
+    /// occupancy audits hold at every step.
+    #[test]
+    fn fifos_span_segment_boundaries() {
+        let mut pool = PacketPool::new();
+        let mut a = PktFifo::new();
+        let mut b = PktFifo::new();
+        // 4 segments = 16 + 32 + 64 + 128 chunks; two interleaved FIFOs
+        // alternate chunks, so each FIFO's run hops between segments.
+        let n = (FIRST_SEG * 15 * CHUNK_PKTS / 2) as u64;
+        for i in 0..n {
+            pool.push(&mut a, pkt(i, 100));
+            pool.push(&mut b, pkt(n + i, 100));
+            if i % 97 == 0 {
+                pool.check_conserved().expect("growing across segments");
+            }
+        }
+        assert_eq!(segments(&pool), 4);
+        assert_eq!(pool.chunks_in_use(), FIRST_SEG * 15);
+        assert_eq!(pool.chunk_growth_count(), (FIRST_SEG * 15) as u64);
+        // Drain `a` halfway: its chunks return to the free list and are
+        // re-linked into `b`'s tail, across segments.
+        for i in 0..n / 2 {
+            assert_eq!(pool.pop(&mut a).unwrap().id.0, i);
+        }
+        let in_use = pool.chunks_in_use();
+        assert_eq!(in_use, FIRST_SEG * 15 - (n / 2) as usize / CHUNK_PKTS);
+        for i in 0..n / 2 {
+            pool.push(&mut b, pkt(2 * n + i, 100));
+        }
+        assert_eq!(pool.chunks_in_use(), FIRST_SEG * 15, "recycled, not grown");
+        assert_eq!(pool.chunk_growth_count(), (FIRST_SEG * 15) as u64);
+        pool.check_conserved().expect("recycled across segments");
+        for i in n / 2..n {
+            assert_eq!(pool.front(&a).unwrap().id.0, i);
+            assert_eq!(pool.pop(&mut a).unwrap().id.0, i);
+        }
+        let mut out = Vec::new();
+        pool.drain_budget_into(&mut b, u64::MAX, &mut out);
+        let ids: Vec<u64> = out.iter().map(|p| p.id.0).collect();
+        let want: Vec<u64> = (n..2 * n).chain(2 * n..2 * n + n / 2).collect();
+        assert_eq!(ids, want);
+        assert!(a.is_empty() && b.is_empty());
+        assert_eq!(pool.chunks_in_use(), 0);
+        pool.check_conserved().expect("drained pool conserves");
+    }
+
+    /// A fixed push/pop script over several FIFOs, pinned to the ledger
+    /// the flat (single-`Vec`) slab produced for it: segmenting the slab
+    /// must not move a single counter the run reports (`pool_*` feeds
+    /// pinned benchmark fingerprints).
+    #[test]
+    fn scripted_ledger_matches_the_flat_slab() {
+        let mut pool = PacketPool::new();
+        let mut fifos: Vec<PktFifo> = (0..7).map(|_| PktFifo::new()).collect();
+        let mut x = 12_345u64;
+        let mut id = 0u64;
+        let mut out = Vec::new();
+        for step in 0..40_000u64 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let r = x >> 33;
+            let f = &mut fifos[(r % 7) as usize];
+            // Push-biased for the first half (the slab grows through
+            // several segments), pop-biased after (it drains and recycles).
+            let push_pct = if step < 20_000 { 70 } else { 35 };
+            match (r >> 8) % 100 {
+                k if k < push_pct => {
+                    pool.push(f, pkt(id, 64 + (r % 1400) as u32));
+                    id += 1;
+                }
+                k if k < 95 => {
+                    pool.pop(f);
+                }
+                _ => {
+                    pool.drain_budget_into(f, (r >> 16) % 9_000, &mut out);
+                }
+            }
+            if step % 1_000 == 0 {
+                pool.check_conserved().expect("scripted ledger balances");
+            }
+        }
+        for f in &mut fifos {
+            while pool.pop(f).is_some() {}
+        }
+        pool.check_conserved().expect("drained");
+        assert_eq!(pool.chunks_in_use(), 0);
+        assert_eq!(segments(&pool), 6, "920 chunks span six segments");
+        assert_eq!(
+            (
+                pool.chunk_growth_count(),
+                pool.alloc_count(),
+                pool.free_count(),
+                pool.live_peak(),
+            ),
+            SCRIPT_LEDGER
+        );
     }
 
     #[test]

@@ -20,10 +20,12 @@
 //! path. Simulations are assembled with [`SimBuilder`], which returns a
 //! typed [`BuildError`] instead of panicking on bad input.
 
-use xds_net::{Packet, TrafficClass};
+use std::collections::VecDeque;
+
+use xds_net::{Packet, PortNo, TrafficClass};
 use xds_sim::{EventQueue, SimDuration, SimRng, SimTime, Simulation, TxTimeCache};
 use xds_switch::{BufferTracker, Site};
-use xds_traffic::{packet_sizes, FlowSpec};
+use xds_traffic::{packet_count, packet_sizes, FlowSpec};
 
 use crate::config::{NodeConfig, Placement};
 use crate::demand::{DemandEstimator, DemandMatrix, MirrorEstimator, SchedRequest};
@@ -95,24 +97,125 @@ enum Ev {
     LinkRepair { port: usize },
 }
 
+/// A flow staged whole at its source host: the NIC cuts its packets one
+/// at a time, in exactly the order, sizes, ids, sequence numbers and
+/// `created` stamps that materializing them at injection
+/// ([`packet_sizes`]) would have produced. The sharded core stages
+/// flows this way, so a queued flow costs one record instead of one pool
+/// slot per packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StagedFlow {
+    flow: u64,
+    /// Id of packet `seq` is `id_base + seq` (the range is reserved at
+    /// injection).
+    id_base: u64,
+    created: SimTime,
+    bytes_left: u64,
+    src: PortNo,
+    dst: PortNo,
+    class: TrafficClass,
+    /// Full-packet size; the last packet carries whatever is left.
+    mtu: u32,
+    next_seq: u32,
+    pkts_left: u32,
+}
+
+impl StagedFlow {
+    /// Stages flow `f`, injected at `created`, as `packet_count(f.bytes,
+    /// mtu)` packets (none for an empty flow).
+    fn flow(f: &FlowSpec, id_base: u64, created: SimTime, mtu: u32) -> Self {
+        let pkts = packet_count(f.bytes, mtu);
+        StagedFlow {
+            flow: f.id,
+            id_base,
+            created,
+            bytes_left: f.bytes,
+            src: f.src,
+            dst: f.dst,
+            class: f.class,
+            mtu,
+            next_seq: 0,
+            pkts_left: u32::try_from(pkts).expect("flow packet count fits a u32 sequence number"),
+        }
+    }
+
+    /// A one-packet record (an app send): the packet carries all `bytes`,
+    /// whatever the MTU.
+    fn single(id: u64, flow: u64, src: PortNo, dst: PortNo, bytes: u32, created: SimTime) -> Self {
+        StagedFlow {
+            flow,
+            id_base: id,
+            created,
+            bytes_left: bytes as u64,
+            src,
+            dst,
+            class: TrafficClass::Interactive,
+            mtu: bytes,
+            next_seq: 0,
+            pkts_left: 1,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.pkts_left == 0
+    }
+}
+
+impl Iterator for StagedFlow {
+    type Item = Packet;
+
+    /// Cuts the next packet off the front of the record.
+    #[inline]
+    fn next(&mut self) -> Option<Packet> {
+        if self.pkts_left == 0 {
+            return None;
+        }
+        let size = if self.pkts_left == 1 {
+            self.bytes_left as u32
+        } else {
+            self.mtu
+        };
+        let pkt = Packet::new(
+            self.id_base + self.next_seq as u64,
+            self.flow,
+            self.src,
+            self.dst,
+            size,
+            self.class,
+            self.created,
+            self.next_seq,
+        );
+        self.bytes_left -= size as u64;
+        self.next_seq += 1;
+        self.pkts_left -= 1;
+        Some(pkt)
+    }
+}
+
 /// Per-host state. Field order is deliberate: the pump path (once per
 /// packet) touches `nic_busy_until`, `pump_active` and the staging-queue
 /// headers, so those lead the struct and share cache lines; the slow-
 /// mode VOQ state is colder and trails.
 ///
-/// All packet storage lives in the runtime's shared [`PacketPool`]
-/// ([`SimState::host_pool`]): the staging queues and slow-mode VOQs are
-/// 10-byte intrusive FIFO headers, so a host enqueue/dequeue moves one
-/// descriptor inside the pool instead of shifting a per-queue `VecDeque`,
-/// and all hosts' packets recycle through one free list.
+/// The classic loop stages packets in the runtime's shared
+/// [`PacketPool`] ([`SimState::host_pool`]): the staging queues and
+/// slow-mode VOQs are 10-byte intrusive FIFO headers, so a host
+/// enqueue/dequeue moves one descriptor inside the pool instead of
+/// shifting a per-queue `VecDeque`, and all hosts' packets recycle
+/// through one free list. The sharded core stages whole flows in
+/// `staged` instead and keeps only the slow-mode VOQs pooled.
 #[derive(Debug)]
 struct Host {
     nic_busy_until: SimTime,
     pump_active: bool,
-    /// Staging queues toward the NIC, strict priority order.
+    /// Staging queues toward the NIC, strict priority order (classic
+    /// loop).
     q_inter: PktFifo,
     q_short: PktFifo,
     q_bulk: PktFifo,
+    /// Staged flows toward the NIC, one FIFO per class in the same
+    /// strict priority order (sharded core).
+    staged: [VecDeque<StagedFlow>; 3],
     /// Slow mode: per-destination bulk VOQs held in host memory.
     voq: Vec<PktFifo>,
     voq_bytes: Vec<u64>,
@@ -130,6 +233,7 @@ impl Host {
             q_inter: PktFifo::new(),
             q_short: PktFifo::new(),
             q_bulk: PktFifo::new(),
+            staged: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
             voq: (0..n).map(|_| PktFifo::new()).collect(),
             voq_bytes: vec![0; n],
             voq_total: 0,
@@ -149,6 +253,33 @@ impl Host {
             return Some(p);
         }
         pool.pop(&mut self.q_bulk)
+    }
+
+    /// Queues a staged record behind its class (an empty one stages
+    /// nothing).
+    fn stage(&mut self, rec: StagedFlow) {
+        if rec.is_empty() {
+            return;
+        }
+        let rank = match rec.class {
+            TrafficClass::Interactive => 0,
+            TrafficClass::Short => 1,
+            TrafficClass::Bulk => 2,
+        };
+        self.staged[rank].push_back(rec);
+    }
+
+    /// Cuts the next packet from the highest-priority staged record,
+    /// retiring the record with its last packet.
+    #[inline]
+    fn cut_staged(&mut self) -> Option<Packet> {
+        let q = self.staged.iter_mut().find(|q| !q.is_empty())?;
+        let rec = q.front_mut().expect("non-empty");
+        let pkt = rec.next();
+        if rec.is_empty() {
+            q.pop_front();
+        }
+        pkt
     }
 
     /// The actual (switch-clock) instant at which this host's clock reads
@@ -1456,6 +1587,124 @@ mod tests {
             .estimator(estimator)
             .build()
             .expect("test sim must build")
+    }
+
+    fn flow(id: u64, bytes: u64, class: TrafficClass) -> FlowSpec {
+        FlowSpec {
+            id,
+            src: PortNo(2),
+            dst: PortNo(5),
+            bytes,
+            start: SimTime::from_nanos(700),
+            class,
+        }
+    }
+
+    /// Cuts a staged flow to the end, checking every packet against what
+    /// materializing it at injection would have produced.
+    fn cut_all_matches_packetization(bytes: u64, mtu: u32) -> Vec<u32> {
+        let f = flow(9, bytes, TrafficClass::Bulk);
+        let created = SimTime::from_nanos(1_234);
+        let rec = StagedFlow::flow(&f, 500, created, mtu);
+        assert_eq!(rec.pkts_left as u64, packet_count(bytes, mtu));
+        let cut: Vec<Packet> = rec.collect();
+        let want: Vec<Packet> = packet_sizes(bytes, mtu)
+            .enumerate()
+            .map(|(seq, size)| {
+                Packet::new(
+                    500 + seq as u64,
+                    9,
+                    f.src,
+                    f.dst,
+                    size,
+                    f.class,
+                    created,
+                    seq as u32,
+                )
+            })
+            .collect();
+        assert_eq!(cut, want);
+        cut.iter().map(|p| p.bytes).collect()
+    }
+
+    #[test]
+    fn staged_flow_of_exact_mtu_multiple_cuts_full_packets() {
+        assert_eq!(cut_all_matches_packetization(4_500, 1_500), [1_500; 3]);
+    }
+
+    #[test]
+    fn staged_flow_cuts_a_short_tail_last() {
+        assert_eq!(
+            cut_all_matches_packetization(3_100, 1_500),
+            [1_500, 1_500, 100]
+        );
+        assert_eq!(cut_all_matches_packetization(999, 1_500), [999]);
+    }
+
+    #[test]
+    fn single_packet_record_ignores_the_mtu() {
+        let rec = StagedFlow::single(
+            77,
+            APP_FLOW_BASE,
+            PortNo(1),
+            PortNo(3),
+            9_000,
+            SimTime::from_nanos(5),
+        );
+        let pkts: Vec<Packet> = rec.collect();
+        assert_eq!(pkts.len(), 1);
+        let p = pkts[0];
+        assert_eq!((p.id.0, p.bytes, p.seq), (77, 9_000, 0));
+        assert_eq!(p.class, TrafficClass::Interactive);
+        // A zero-byte app send is still one packet, as at injection.
+        let empty = StagedFlow::single(78, APP_FLOW_BASE, PortNo(1), PortNo(3), 0, SimTime::ZERO);
+        assert_eq!(empty.map(|p| p.bytes).collect::<Vec<_>>(), [0]);
+    }
+
+    #[test]
+    fn zero_byte_flow_stages_nothing() {
+        let mut h = Host::new(8);
+        let rec = StagedFlow::flow(&flow(1, 0, TrafficClass::Short), 0, SimTime::ZERO, 1_500);
+        assert!(rec.is_empty());
+        h.stage(rec);
+        assert!(h.staged.iter().all(|q| q.is_empty()));
+        assert_eq!(h.cut_staged(), None);
+    }
+
+    /// Strict priority holds between records: an interactive send staged
+    /// mid-flow is cut next, and the pre-empted bulk flow then resumes at
+    /// its next sequence number.
+    #[test]
+    fn interactive_record_preempts_a_flow_mid_cut() {
+        let mut h = Host::new(8);
+        h.stage(StagedFlow::flow(
+            &flow(4, 6_000, TrafficClass::Bulk),
+            100,
+            SimTime::ZERO,
+            1_500,
+        ));
+        h.stage(StagedFlow::flow(
+            &flow(5, 2_000, TrafficClass::Short),
+            200,
+            SimTime::ZERO,
+            1_500,
+        ));
+        let key = |p: Packet| (p.flow, p.seq, p.bytes);
+        assert_eq!(h.cut_staged().map(key), Some((5, 0, 1_500)));
+        assert_eq!(h.cut_staged().map(key), Some((5, 1, 500)));
+        assert_eq!(h.cut_staged().map(key), Some((4, 0, 1_500)));
+        h.stage(StagedFlow::single(
+            300,
+            APP_FLOW_BASE,
+            PortNo(2),
+            PortNo(6),
+            200,
+            SimTime::from_nanos(9),
+        ));
+        assert_eq!(h.cut_staged().map(key), Some((APP_FLOW_BASE, 0, 200)));
+        let rest: Vec<_> = std::iter::from_fn(|| h.cut_staged()).map(key).collect();
+        assert_eq!(rest, [(4, 1, 1_500), (4, 2, 1_500), (4, 3, 1_500)]);
+        assert!(h.staged.iter().all(|q| q.is_empty()), "records retire");
     }
 
     fn hw_cfg(n: usize) -> NodeConfig {

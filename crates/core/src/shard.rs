@@ -48,7 +48,10 @@
 //! the per-shard ladder-queue and packet-pool ledgers (`queue_*`,
 //! `pool_*`) — are merged across shards with
 //! [`CounterSet::merge`] semantics (sums for tallies, max for peaks) and
-//! are deterministic per `(K, seed)` but legitimately K-dependent.
+//! are deterministic per `(K, seed)` but legitimately K-dependent. They
+//! also count less than K = 1's: shards stage each flow whole as one
+//! [`StagedFlow`] and cut packets at the NIC, so only slow-mode host
+//! VOQs and the switch VOQ banks go through the pools.
 //!
 //! # Execution
 //!
@@ -129,8 +132,10 @@ impl ShardMap {
 /// How shard windows execute between barriers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardExec {
-    /// One worker thread per busy shard when the machine has more than
-    /// one CPU; inline otherwise.
+    /// Scoped worker threads when the machine has more than one CPU;
+    /// inline otherwise. Workers are capped at `available_parallelism`,
+    /// each draining a contiguous slice of the busy shards, so a K far
+    /// above the core count never spawns K threads per barrier.
     #[default]
     Auto,
     /// Always sequential, in shard order, on the calling thread.
@@ -199,7 +204,8 @@ struct Shard {
     /// `local[global] = index into hosts`, `u32::MAX` for foreign ports.
     local: Vec<u32>,
     hosts: Vec<Host>,
-    /// Backs this shard's staging queues and host VOQs.
+    /// Backs this shard's slow-mode host VOQs (staging holds whole
+    /// flows in `Host::staged`, outside the pool).
     pool: PacketPool,
     /// Row-windowed switch VOQ bank (this shard's source rows only).
     proc: ProcessingLogic,
@@ -335,44 +341,41 @@ impl Shard {
         match ev {
             // Mirrors `SimState::inject_flow`; flow-start notification
             // and offered-byte accounting already happened coordinator-
-            // side at pre-generation.
+            // side at pre-generation. The flow's packet ids are reserved
+            // here, at injection, whether its packets materialize now or
+            // are cut by the NIC later.
             SEv::Inject { flow: f } => {
                 let host = f.src.index();
-                let gated = self.gated(f.class);
-                for (seq, size) in packet_sizes(f.bytes, self.mtu).enumerate() {
-                    // Ids are namespaced per shard (unobservable in any
-                    // report; uniqueness is all that matters).
-                    let id = ((self.id as u64 + 1) << 48) | self.next_pkt_id;
-                    let pkt = Packet::new(id, f.id, f.src, f.dst, size, f.class, now, seq as u32);
-                    self.next_pkt_id += 1;
-                    if gated && !self.is_hw {
-                        let li = self.local[host] as usize;
+                // Ids are namespaced per shard (unobservable in any
+                // report; uniqueness is all that matters).
+                let id_base = ((self.id as u64 + 1) << 48) | self.next_pkt_id;
+                let rec = StagedFlow::flow(&f, id_base, now, self.mtu);
+                self.next_pkt_id += rec.pkts_left as u64;
+                if self.gated(f.class) && !self.is_hw {
+                    // Slow mode: gated bytes feed scheduler requests at
+                    // injection, so they materialize into host VOQs.
+                    let li = self.local[host] as usize;
+                    let d = f.dst.index();
+                    for pkt in rec {
+                        let size = pkt.bytes as u64;
                         let h = &mut self.hosts[li];
-                        let d = f.dst.index();
                         self.pool.push(&mut h.voq[d], pkt);
-                        h.voq_bytes[d] += size as u64;
-                        h.voq_total += size as u64;
-                        h.voq_arrived[d] += size as u64;
+                        h.voq_bytes[d] += size;
+                        h.voq_total += size;
+                        h.voq_arrived[d] += size;
                         h.voq_dirty[d] = true;
                         if self.track_buffers {
                             self.ship(
                                 now,
                                 ShipKind::BufEnqueue {
                                     site: Site::Host,
-                                    bytes: size as u64,
+                                    bytes: size,
                                 },
                             );
                         }
-                    } else {
-                        let li = self.local[host] as usize;
-                        let h = &mut self.hosts[li];
-                        let q = match pkt.class {
-                            TrafficClass::Interactive => &mut h.q_inter,
-                            TrafficClass::Short => &mut h.q_short,
-                            TrafficClass::Bulk => &mut h.q_bulk,
-                        };
-                        self.pool.push(q, pkt);
                     }
+                } else {
+                    self.host_mut(host).stage(rec);
                 }
                 self.ensure_pump(now, host);
             }
@@ -384,8 +387,7 @@ impl Shard {
                     return;
                 }
                 let li = self.local[host] as usize;
-                let popped = self.hosts[li].pop_staged(&mut self.pool);
-                let Some(pkt) = popped else {
+                let Some(pkt) = self.hosts[li].cut_staged() else {
                     self.hosts[li].pump_active = false;
                     return;
                 };
@@ -788,15 +790,13 @@ fn handle_coord(
     match ev {
         Ev::AppSend { app } => {
             let a = st.apps[app].clone();
-            let pkt = Packet::new(
+            let mut rec = StagedFlow::single(
                 st.next_pkt_id,
                 APP_FLOW_BASE + app as u64,
                 a.src,
                 a.dst,
                 a.pkt_bytes,
-                TrafficClass::Interactive,
                 now,
-                0,
             );
             st.next_pkt_id += 1;
             st.offered_bytes += a.pkt_bytes as u64;
@@ -806,7 +806,7 @@ fn handle_coord(
             if st.gated(TrafficClass::Interactive) && !st.is_hw {
                 let d = a.dst.index();
                 let h = &mut sh.hosts[li];
-                sh.pool.push(&mut h.voq[d], pkt);
+                sh.pool.push(&mut h.voq[d], rec.next().expect("one packet"));
                 h.voq_bytes[d] += a.pkt_bytes as u64;
                 h.voq_total += a.pkt_bytes as u64;
                 h.voq_arrived[d] += a.pkt_bytes as u64;
@@ -815,8 +815,7 @@ fn handle_coord(
                     st.buffers.on_enqueue(Site::Host, a.pkt_bytes as u64, now);
                 }
             } else {
-                let h = &mut sh.hosts[li];
-                sh.pool.push(&mut h.q_inter, pkt);
+                sh.hosts[li].stage(rec);
                 sh.ensure_pump(now, host);
             }
             let next = a.next_send(now, &mut st.rng);

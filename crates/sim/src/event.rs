@@ -364,9 +364,15 @@ impl<E> EventQueue<E> {
                 if self.overflow.len() <= DIRECT_SORT {
                     // Sparse population: one sorted run, no rung. A later
                     // dense burst under the raised `bottom_limit` is
-                    // handled by the spill valve.
+                    // handled by the spill valve. The drained `bottom`'s
+                    // allocation becomes the next overflow's (an empty
+                    // ring converts in O(1)), so a queue that idles
+                    // through this path never reallocates.
                     self.direct_sorts += 1;
-                    let mut batch = std::mem::take(&mut self.overflow);
+                    let mut batch = std::mem::replace(
+                        &mut self.overflow,
+                        Vec::from(std::mem::take(&mut self.bottom)),
+                    );
                     batch.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
                     self.bottom_limit = batch[0].time.as_nanos().saturating_add(1);
                     self.bottom = VecDeque::from(batch);
@@ -817,6 +823,67 @@ mod tests {
         while q.pop().is_some() {}
         assert!(q.spread_count() >= 1, "dense bucket must spread");
         assert_eq!(q.spill_count(), spills, "no further spills expected");
+    }
+
+    /// A sparse queue that drains to empty and refills, over and over,
+    /// lives on the direct-sort path: every sort must pop in exact
+    /// `(time, seq)` order, be counted once, and hand the drained
+    /// `bottom`'s buffer to `overflow` instead of dropping it.
+    #[test]
+    fn sparse_drain_refill_cycles_direct_sort_in_order() {
+        let mut q = EventQueue::new();
+        let mut x = 77u64;
+        let mut lcg = move || {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            x >> 33
+        };
+        let rounds = 50u64;
+        let mut id = 0u64;
+        for _ in 0..rounds {
+            let base = q.now().as_nanos();
+            // The anchor fills the empty queue's bottom run, pinning
+            // `bottom_limit` just past it: the rest go to `overflow`.
+            let mut want: Vec<(u64, u64)> = vec![(base + 1, id)];
+            q.schedule_at(SimTime::from_nanos(base + 1), id);
+            id += 1;
+            for _ in 0..40 {
+                // Repeated times exercise the insertion-order tie-break.
+                let t = base + 2 + lcg() % 64;
+                want.push((t, id));
+                q.schedule_at(SimTime::from_nanos(t), id);
+                id += 1;
+            }
+            want.sort_unstable();
+            let before = q.direct_sort_count();
+            let mut got = Vec::new();
+            got.push(q.pop().expect("anchor"));
+            assert_eq!(q.direct_sort_count(), before + 1, "sparse replenish");
+            assert!(q.overflow.is_empty() && q.overflow.capacity() > 0);
+            for _ in 0..20 {
+                got.push(q.pop().expect("first half"));
+            }
+            // A second wave beyond the sorted run's limit waits in
+            // `overflow` until the run drains, then sorts directly too.
+            let mut wave: Vec<(u64, u64)> = Vec::new();
+            for _ in 0..30 {
+                let t = base + 1_000 + lcg() % 32;
+                wave.push((t, id));
+                q.schedule_at(SimTime::from_nanos(t), id);
+                id += 1;
+            }
+            wave.sort_unstable();
+            want.extend(wave);
+            while let Some(ev) = q.pop() {
+                got.push(ev);
+            }
+            assert_eq!(q.direct_sort_count(), before + 2, "second wave");
+            let got: Vec<(u64, u64)> = got.into_iter().map(|(t, e)| (t.as_nanos(), e)).collect();
+            assert_eq!(got, want);
+        }
+        assert_eq!(q.direct_sort_count(), 2 * rounds);
+        assert_eq!((q.spread_count(), q.spill_count()), (0, 0));
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //!   (uniform, exponential, bounded Pareto, log-normal, empirical CDF, Zipf).
 //! * [`rate`] — bit-rate arithmetic ([`BitRate`], transmission times, token
 //!   buckets).
-//! * [`trace`] — a bounded trace ring for debugging event-driven logic.
 //!
 //! The design follows the session's networking guides: a synchronous,
 //! poll/event-driven core in the smoltcp tradition. The workload is CPU-bound
@@ -33,7 +32,6 @@ pub mod event;
 pub mod rate;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 pub use dist::{Dist, EmpiricalCdf, Sample, Zipf};
 pub use event::{EventQueue, RunStats, Simulation};

@@ -32,5 +32,5 @@ pub use apps::CbrApp;
 pub use arrivals::ArrivalProcess;
 pub use flow::{FlowGenerator, FlowSpec};
 pub use matrix::TrafficMatrix;
-pub use packetize::packet_sizes;
+pub use packetize::{packet_count, packet_sizes};
 pub use size_dist::FlowSizeDist;
