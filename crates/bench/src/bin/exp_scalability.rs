@@ -146,10 +146,11 @@ fn main() {
     emit("exp_scalability_sw", &sw);
 
     println!(
-        "expected shape: hardware iSLIP grows logarithmically (10 -> 20 cycles\n\
-         over 8 -> 256 ports: well under a microsecond) while Hungarian's n^3\n\
-         blows past line-rate budgets by 64 ports — and the measured software\n\
-         wall-clock is orders of magnitude above the hardware model even for\n\
-         the friendly algorithms, which is the paper's entire point."
+        "expected shape: hardware iSLIP grows logarithmically (islip_i3: 24 ->\n\
+         54 cycles over 8 -> 256 ports: well under a microsecond) while\n\
+         Hungarian's n^3 blows past line-rate budgets by 64 ports — and the\n\
+         measured software wall-clock is orders of magnitude above the\n\
+         hardware model even for the friendly algorithms, which is the\n\
+         paper's entire point."
     );
 }

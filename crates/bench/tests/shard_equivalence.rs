@@ -105,67 +105,98 @@ fn faulted_point_reproduces_on_sharded_cores_and_scattered_maps() {
     // faulted trajectory — including every divert, dark-link drop and
     // degraded interval — must be invariant in the shard count *and* in
     // the shape of the port→shard map.
-    let spec = library::scenario("fault-storm")
+    let storm = library::scenario("fault-storm")
         .expect("catalogue entry")
-        .with_ports(8)
+        .with_ports(8);
+    let hardware = storm
+        .clone()
         .with_duration(SimDuration::from_millis(2))
         .with_shards(1);
-    let reference = spec.run().expect("classic core runs");
-    assert!(
-        reference.counters.fault_events_injected > 0,
-        "the storm plan must actually inject faults"
-    );
-    assert!(
-        reference.fault_degraded_ns > 0,
-        "injected link faults must register degraded time"
-    );
-    let ref_json = reference.trace_json();
-    for k in [2usize, 4] {
-        let got = spec
-            .clone()
-            .with_shards(k)
-            .run()
-            .unwrap_or_else(|e| panic!("faulted run at {k} shards: {e}"));
+    // Software placement takes the slow-mode fault paths: stale misfires
+    // skip their grants, and circuit arrivals on a dark link or outside
+    // the live slot drop when the barrier replays them. 5 ms is long
+    // enough for a link to die under in-flight traffic.
+    let software = storm
+        .with_name("fault-storm-sw")
+        .with_placement(PlacementKind::Software {
+            model: SwModelKind::TunedUserspace,
+            sync: SyncSpec::Ptp,
+        })
+        .with_duration(SimDuration::from_millis(5))
+        .with_shards(1);
+    for spec in [hardware, software] {
+        let name = &spec.name;
+        let reference = spec.run().expect("classic core runs");
+        assert!(
+            reference.counters.fault_events_injected > 0,
+            "{name}: the storm plan must actually inject faults"
+        );
+        assert!(
+            reference.fault_degraded_ns > 0,
+            "{name}: injected link faults must register degraded time"
+        );
+        if name.ends_with("-sw") {
+            assert!(
+                reference.counters.drop_link_dark > 0,
+                "{name}: in-flight packets must hit a dark link"
+            );
+            assert!(
+                reference.counters.drop_sync_violation > 0,
+                "{name}: slow mode must drop out-of-slot arrivals"
+            );
+        }
+        let ref_json = reference.trace_json();
+        for k in [2usize, 4] {
+            let got = spec
+                .clone()
+                .with_shards(k)
+                .run()
+                .unwrap_or_else(|e| panic!("{name} at {k} shards: {e}"));
+            assert_eq!(
+                got.trace_json(),
+                ref_json,
+                "{name} diverged from the classic core at {k} shards"
+            );
+            assert_eq!(got.fault_degraded_ns, reference.fault_degraded_ns);
+            assert_eq!(got.fault_failover_bytes, reference.fault_failover_bytes);
+            for (counter, v) in got.counters.items() {
+                let want = reference
+                    .counters
+                    .items()
+                    .iter()
+                    .find(|(n, _)| *n == counter)
+                    .map(|&(_, w)| w);
+                if BEHAVIORAL_COUNTERS.contains(&counter) {
+                    assert_eq!(
+                        Some(v),
+                        want,
+                        "{name}: counter {counter} moved at {k} shards"
+                    );
+                }
+            }
+        }
+        // A scattered, unbalanced port→shard assignment goes through the
+        // same builder path and must not perturb the faulted trajectory.
+        let map = ShardMap::from_assignment(vec![0, 1, 2, 0, 1, 2, 0, 1]).expect("valid map");
+        let (cfg, workload, scheduler, estimator) = spec.build().expect("faulted spec builds");
+        let got = SimBuilder::new(cfg)
+            .workload(workload)
+            .scheduler(scheduler)
+            .estimator(estimator)
+            .instrumentation(spec.profile.instrumentation())
+            .faults(spec.faults.clone())
+            .shard_map(map)
+            .build()
+            .expect("faulted sim builds")
+            .run(SimTime::ZERO + spec.duration);
         assert_eq!(
             got.trace_json(),
             ref_json,
-            "faulted run diverged from the classic core at {k} shards"
+            "{name} diverged under a scattered shard map"
         );
         assert_eq!(got.fault_degraded_ns, reference.fault_degraded_ns);
         assert_eq!(got.fault_failover_bytes, reference.fault_failover_bytes);
-        for (name, v) in got.counters.items() {
-            let want = reference
-                .counters
-                .items()
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|&(_, w)| w);
-            if BEHAVIORAL_COUNTERS.contains(&name) {
-                assert_eq!(Some(v), want, "counter {name} moved at {k} shards");
-            }
-        }
     }
-    // A scattered, unbalanced port→shard assignment goes through the
-    // same builder path and must not perturb the faulted trajectory.
-    let map = ShardMap::from_assignment(vec![0, 1, 2, 0, 1, 2, 0, 1]).expect("valid map");
-    let (cfg, workload, scheduler, estimator) = spec.build().expect("faulted spec builds");
-    let got = SimBuilder::new(cfg)
-        .workload(workload)
-        .scheduler(scheduler)
-        .estimator(estimator)
-        .instrumentation(spec.profile.instrumentation())
-        .faults(spec.faults.clone())
-        .shard_map(map)
-        .build()
-        .expect("faulted sim builds")
-        .run(SimTime::ZERO + spec.duration);
-    assert_eq!(
-        got.trace_json(),
-        ref_json,
-        "faulted run diverged under a scattered shard map"
-    );
-    assert_eq!(got.fault_degraded_ns, reference.fault_degraded_ns);
-    assert_eq!(got.fault_failover_bytes, reference.fault_failover_bytes);
 }
 
 /// The sharded core stages whole flows at their source hosts and cuts

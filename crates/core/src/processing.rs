@@ -6,8 +6,9 @@
 //! scheduling requests and transmits packets upon receiving transmission
 //! grants."
 //!
-//! Classification itself lives in `xds-net` ([`xds_net::RuleTable`]); by
-//! the time a packet reaches the VOQ bank it carries its class and egress.
+//! Classification is modelled by its outcome: traffic sources tag every
+//! packet with its [`TrafficClass`](xds_net::TrafficClass) and egress
+//! port, and the switch ingress routes on that tag.
 //! This module owns the N×N queues, the request generation (dirty-pair
 //! tracking), and grant execution (budgeted dequeue).
 
@@ -235,14 +236,13 @@ impl ProcessingLogic {
         out
     }
 
-    /// [`take_requests`](Self::take_requests) into a reused buffer: the
-    /// buffer is cleared, then filled in `(src, dst)` scan order. Only
-    /// the dirty list is visited (sorted so the order matches a full
-    /// row-major scan), not the whole `n²` matrix. Runs once per epoch,
-    /// so it doubles as the pool's conservation checkpoint.
+    /// [`take_requests`](Self::take_requests) appended to a reused
+    /// buffer, in `(src, dst)` scan order. Only the dirty list is visited
+    /// (sorted so the order matches a full row-major scan), not the whole
+    /// `n²` matrix. Runs once per epoch, so it doubles as the pool's
+    /// conservation checkpoint.
     pub fn take_requests_into(&mut self, now: SimTime, out: &mut Vec<SchedRequest>) {
         self.pool.debug_assert_conserved();
-        out.clear();
         self.dirty_list.sort_unstable();
         for k in 0..self.dirty_list.len() {
             let idx = self.dirty_list[k] as usize;

@@ -10,8 +10,16 @@
 //! transmit into their (clock-skew-shifted) view of the slot; packets that
 //! hit a dark or re-assigned circuit are synchronization violations.
 //!
-//! The event loop owns all state (no interior mutability): every handler
-//! is a match arm over the private event enum.
+//! The run splits in two halves. The **coordinator** (`Coord`) owns
+//! everything cross-cutting — scheduler, estimator, OCS/EPS,
+//! instrumentation sinks, buffer tracker — and handles the epoch path
+//! (requests → demand estimation → decomposition → grant execution,
+//! Figure 2) in one place, `Coord::handle`. The **fabric** owns the
+//! ports: hosts, VOQ banks and the packet pools behind them. Two fabrics
+//! implement the `Fabric` trait the coordinator drives: the classic
+//! single-queue `Ports` (K = 1) and the sharded core's port groups
+//! (`shard.rs`, K > 1). All state is owned (no interior mutability):
+//! every handler is a match arm over a private event enum.
 //!
 //! Metric recording is **not** inlined here: the runtime hands batched
 //! [`DeliveryRecord`]s, per-epoch [`EpochSample`]s and drop events to the
@@ -25,7 +33,7 @@ use std::collections::VecDeque;
 use xds_net::{Packet, PortNo, TrafficClass};
 use xds_sim::{EventQueue, SimDuration, SimRng, SimTime, Simulation, TxTimeCache};
 use xds_switch::{BufferTracker, Site};
-use xds_traffic::{packet_count, packet_sizes, FlowSpec};
+use xds_traffic::{packet_count, FlowSpec};
 
 use crate::config::{NodeConfig, Placement};
 use crate::demand::{DemandEstimator, DemandMatrix, MirrorEstimator, SchedRequest};
@@ -38,35 +46,29 @@ use crate::node::Workload;
 use crate::pool::{PacketPool, PktFifo};
 use crate::processing::ProcessingLogic;
 use crate::report::{EpochPhaseNs, RunReport};
-use crate::sched::{Schedule, ScheduleCtx, Scheduler};
+use crate::sched::{Schedule, ScheduleCtx, ScheduleEntry, Scheduler};
 use crate::switching::SwitchingLogic;
 use crate::trace::TraceRecorder;
 use xds_metrics::CounterSet;
 
-/// The sharded parallel core (child module: its coordinator replays the
-/// classic handlers over shard-held state, so it shares this module's
-/// private types).
+/// The sharded parallel core (child module: its fabric plugs into the
+/// same coordinator, so it shares this module's private types).
 #[path = "shard.rs"]
 mod shard;
 pub use shard::{ShardExec, ShardMap};
 
-/// Simulation events.
+/// Coordinator events: the cross-cutting half of the event set, handled
+/// by [`Coord::handle`] on either fabric.
 ///
-/// Deliberately **not** `Clone`: nothing on the hot path may copy an
-/// event's payload. Schedules in particular live once in the runtime's
-/// slab ([`SimState::scheds`]) and travel through the queue as a plain
-/// `(sid, idx)` pair — the compiler proves no event handler duplicates
-/// them.
+/// Deliberately **not** `Clone` (nor is [`Ev`]): nothing on the hot path
+/// may copy an event's payload. Schedules in particular live once in the
+/// coordinator's slab ([`Coord::scheds`]) and travel through the queue as
+/// a plain `(sid, idx)` pair — the compiler proves no event handler
+/// duplicates them.
 #[derive(Debug)]
-enum Ev {
-    /// Inject the pending flow and pull the next one from the generator.
-    NextFlow,
-    /// Host NIC pump: serialize the next staged packet toward the switch.
-    Pump { host: usize },
+enum CoordEv {
     /// An interactive app emits its next packet.
     AppSend { app: usize },
-    /// A packet's last bit arrives at the switch ingress.
-    SwitchIn { pkt: Packet },
     /// Scheduler epoch boundary: estimate demand, compute a schedule.
     EpochStart,
     /// The computed schedule (slab id `sid`) arrives (decision latency
@@ -77,17 +79,6 @@ enum Ev {
     /// Entry `idx` of schedule `sid` circuits are live: move granted
     /// traffic. The last entry's activation retires the slab slot.
     SlotActive { sid: usize, idx: usize },
-    /// (Slow mode) A grant reaches a host: transmit into the window as the
-    /// host's skewed clock sees it.
-    HostGrant {
-        host: usize,
-        dst: usize,
-        slot_start: SimTime,
-        slot_end: SimTime,
-    },
-    /// (Slow mode) A host-released bulk packet arrives at the switch
-    /// expecting a live circuit.
-    OcsIn { pkt: Packet },
     /// Rotate the workload's traffic matrix (E6's moving hotspot).
     RotateMatrix { idx: usize },
     /// A link-fault arrival from the armed [`FaultPlan`]: draw a victim
@@ -97,12 +88,42 @@ enum Ev {
     LinkRepair { port: usize },
 }
 
+/// Events of the classic single-queue loop: the port-side events its
+/// [`Classic::handle`] runs itself, plus the coordinator's.
+#[derive(Debug)]
+enum Ev {
+    /// Inject the pending flow and pull the next one from the generator.
+    NextFlow,
+    /// Host NIC pump: serialize the next staged packet toward the switch.
+    Pump { host: usize },
+    /// A packet's last bit arrives at the switch ingress.
+    SwitchIn { pkt: Packet },
+    /// (Slow mode) A grant reaches a host.
+    HostGrant(Grant),
+    /// (Slow mode) A host-released bulk packet arrives at the switch
+    /// expecting a live circuit.
+    OcsIn { pkt: Packet },
+    /// A coordinator event.
+    Coord(CoordEv),
+}
+
+/// (Slow mode) A grant on its way to a host: transmit toward `dst` into
+/// the window `[slot_start, slot_end)` as the host's skewed clock sees it.
+#[derive(Debug, Clone, Copy)]
+struct Grant {
+    host: usize,
+    dst: usize,
+    slot_start: SimTime,
+    slot_end: SimTime,
+}
+
 /// A flow staged whole at its source host: the NIC cuts its packets one
 /// at a time, in exactly the order, sizes, ids, sequence numbers and
 /// `created` stamps that materializing them at injection
-/// ([`packet_sizes`]) would have produced. The sharded core stages
-/// flows this way, so a queued flow costs one record instead of one pool
-/// slot per packet.
+/// ([`xds_traffic::packet_sizes`]) would have produced. The sharded core
+/// stages flows this way, so a queued flow costs one record instead of
+/// one pool slot per packet; the classic loop and slow-mode host VOQs
+/// materialize a record's packets at injection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct StagedFlow {
     flow: u64,
@@ -192,13 +213,22 @@ impl Iterator for StagedFlow {
     }
 }
 
+/// Strict NIC priority rank of a class (interactive first).
+fn class_rank(class: TrafficClass) -> usize {
+    match class {
+        TrafficClass::Interactive => 0,
+        TrafficClass::Short => 1,
+        TrafficClass::Bulk => 2,
+    }
+}
+
 /// Per-host state. Field order is deliberate: the pump path (once per
 /// packet) touches `nic_busy_until`, `pump_active` and the staging-queue
 /// headers, so those lead the struct and share cache lines; the slow-
 /// mode VOQ state is colder and trails.
 ///
-/// The classic loop stages packets in the runtime's shared
-/// [`PacketPool`] ([`SimState::host_pool`]): the staging queues and
+/// The classic loop stages packets in its fabric's shared
+/// [`PacketPool`] ([`Ports::host_pool`]): the staging queues and
 /// slow-mode VOQs are 10-byte intrusive FIFO headers, so a host
 /// enqueue/dequeue moves one descriptor inside the pool instead of
 /// shifting a per-queue `VecDeque`, and all hosts' packets recycle
@@ -208,11 +238,9 @@ impl Iterator for StagedFlow {
 struct Host {
     nic_busy_until: SimTime,
     pump_active: bool,
-    /// Staging queues toward the NIC, strict priority order (classic
-    /// loop).
-    q_inter: PktFifo,
-    q_short: PktFifo,
-    q_bulk: PktFifo,
+    /// Staging queues toward the NIC, one per class in strict priority
+    /// order (classic loop).
+    pkts: [PktFifo; 3],
     /// Staged flows toward the NIC, one FIFO per class in the same
     /// strict priority order (sharded core).
     staged: [VecDeque<StagedFlow>; 3],
@@ -230,9 +258,7 @@ struct Host {
 impl Host {
     fn new(n: usize) -> Self {
         Host {
-            q_inter: PktFifo::new(),
-            q_short: PktFifo::new(),
-            q_bulk: PktFifo::new(),
+            pkts: [PktFifo::new(), PktFifo::new(), PktFifo::new()],
             staged: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
             voq: (0..n).map(|_| PktFifo::new()).collect(),
             voq_bytes: vec![0; n],
@@ -245,28 +271,24 @@ impl Host {
         }
     }
 
+    /// Activates an idle NIC pump, returning when it must first run (no
+    /// earlier than `now`); `None` if it already runs.
+    fn wake_pump(&mut self, now: SimTime) -> Option<SimTime> {
+        let idle = !std::mem::replace(&mut self.pump_active, true);
+        idle.then(|| now.max(self.nic_busy_until))
+    }
+
+    /// Pops the next materialized packet, highest priority first.
     fn pop_staged(&mut self, pool: &mut PacketPool) -> Option<Packet> {
-        if let Some(p) = pool.pop(&mut self.q_inter) {
-            return Some(p);
-        }
-        if let Some(p) = pool.pop(&mut self.q_short) {
-            return Some(p);
-        }
-        pool.pop(&mut self.q_bulk)
+        self.pkts.iter_mut().find_map(|q| pool.pop(q))
     }
 
     /// Queues a staged record behind its class (an empty one stages
     /// nothing).
     fn stage(&mut self, rec: StagedFlow) {
-        if rec.is_empty() {
-            return;
+        if !rec.is_empty() {
+            self.staged[class_rank(rec.class)].push_back(rec);
         }
-        let rank = match rec.class {
-            TrafficClass::Interactive => 0,
-            TrafficClass::Short => 1,
-            TrafficClass::Bulk => 2,
-        };
-        self.staged[rank].push_back(rec);
     }
 
     /// Cuts the next packet from the highest-priority staged record,
@@ -282,6 +304,73 @@ impl Host {
         pkt
     }
 
+    /// Slow mode: parks a gated packet in the VOQ toward its destination
+    /// until a grant releases it.
+    fn hold(&mut self, pool: &mut PacketPool, pkt: Packet) {
+        let (d, bytes) = (pkt.dst.index(), pkt.bytes as u64);
+        pool.push(&mut self.voq[d], pkt);
+        self.voq_bytes[d] += bytes;
+        self.voq_total += bytes;
+        self.voq_arrived[d] += bytes;
+        self.voq_dirty[d] = true;
+    }
+
+    /// Appends a request per VOQ changed since the last epoch (this host
+    /// is global port `src`), in ascending destination order.
+    fn take_requests(&mut self, src: usize, now: SimTime, out: &mut Vec<SchedRequest>) {
+        for d in 0..self.voq_dirty.len() {
+            if self.voq_dirty[d] {
+                self.voq_dirty[d] = false;
+                out.push(SchedRequest {
+                    src,
+                    dst: d,
+                    queued_bytes: self.voq_bytes[d],
+                    arrived_bytes_total: self.voq_arrived[d],
+                    at: now,
+                });
+            }
+        }
+    }
+
+    /// Writes this host's VOQ occupancy into row `src` of `out`.
+    fn occupancy_row_into(&self, src: usize, out: &mut DemandMatrix) {
+        for (d, &bytes) in self.voq_bytes.iter().enumerate() {
+            out.set(src, d, bytes);
+        }
+    }
+
+    /// Transmits what fits of the VOQ toward `g.dst` into the grant's
+    /// window as this host's skewed clock sees it (§2's synchronization
+    /// argument), starting no earlier than `now` and the NIC. `sent` sees
+    /// each released packet with its departure time.
+    fn send_granted(
+        &mut self,
+        pool: &mut PacketPool,
+        host_tx: &mut TxTimeCache,
+        now: SimTime,
+        g: Grant,
+        mut sent: impl FnMut(Packet, SimTime),
+    ) {
+        let (start_seen, end_seen) = (self.actual_time(g.slot_start), self.actual_time(g.slot_end));
+        let dst = g.dst;
+        let mut cursor = now.max(start_seen).max(self.nic_busy_until);
+        while let Some(front) = pool.front(&self.voq[dst]) {
+            let bytes = front.bytes as u64;
+            let tx = host_tx.tx_time(bytes);
+            if cursor + tx > end_seen {
+                break;
+            }
+            let pkt = pool.pop(&mut self.voq[dst]).expect("peeked");
+            let dep = cursor + tx;
+            cursor = dep;
+            self.voq_bytes[dst] -= bytes;
+            self.voq_total -= bytes;
+            self.voq_dirty[dst] = true;
+            sent(pkt, dep);
+        }
+        self.nic_busy_until = self.nic_busy_until.max(cursor);
+    }
+
     /// The actual (switch-clock) instant at which this host's clock reads
     /// the given switch-time `t`: a host whose clock runs ahead acts
     /// early.
@@ -295,7 +384,54 @@ impl Host {
     }
 }
 
-struct SimState {
+/// The port side of a run — hosts, VOQ banks and the packet pools behind
+/// them — as the coordinator drives it. Two implementations, statically
+/// dispatched: the classic single-queue [`Ports`] and the sharded core's
+/// port groups. `hw` selects the fast-mode (switch VOQ) or slow-mode
+/// (host VOQ) view wherever the two differ.
+trait Fabric {
+    /// The queue coordinator events travel on.
+    type Queue;
+
+    /// Schedules coordinator event `ev` at `at` from a handler running at
+    /// `now`.
+    fn post(q: &mut Self::Queue, at: SimTime, now: SimTime, ev: CoordEv);
+
+    /// Per-epoch pool-boundary audit (debug builds only).
+    fn audit_epoch(&self);
+
+    /// Replaces `out` with every request raised since the last epoch, in
+    /// global `(src, dst)` order — a full-fabric row-major scan's order.
+    fn requests_into(&mut self, hw: bool, now: SimTime, out: &mut Vec<SchedRequest>);
+
+    /// Total queued bytes (the ground-truth backlog).
+    fn backlog(&self, hw: bool) -> u64;
+
+    /// Writes the per-pair queued bytes into `out`.
+    fn occupancy_into(&self, hw: bool, out: &mut DemandMatrix);
+
+    /// Grant execution: pops up to `budget` bytes of VOQ `(i, j)` into
+    /// `out`.
+    fn dequeue_upto_into(&mut self, i: usize, j: usize, budget: u64, out: &mut Vec<Packet>);
+
+    /// (Slow mode) Delivers a grant to its host at `at`.
+    fn send_grant(&mut self, q: &mut Self::Queue, at: SimTime, now: SimTime, g: Grant);
+
+    /// (Slow mode) Parks a gated app packet in its host's VOQ.
+    fn hold_at_host(&mut self, pkt: Packet);
+
+    /// Stages an app send at its source host and wakes the NIC.
+    fn stage_app(&mut self, q: &mut Self::Queue, now: SimTime, rec: StagedFlow);
+
+    /// End of run: audits the fabric's pools (panicking on a leak — a
+    /// runtime bug no report may paper over) and folds its queue and pool
+    /// ledgers into `counters`.
+    fn finish(&self, counters: &mut CounterSet);
+}
+
+/// Coordinator-only state: everything cross-cutting, shared by both
+/// fabrics.
+struct Coord {
     cfg: NodeConfig,
     horizon: SimTime,
     is_hw: bool,
@@ -310,10 +446,6 @@ struct SimState {
     apps: Vec<xds_traffic::CbrApp>,
     matrix_cycle: Option<crate::node::MatrixCycle>,
 
-    hosts: Vec<Host>,
-    /// Shared chunk pool backing every host's staging queues and VOQs.
-    host_pool: PacketPool,
-    proc: ProcessingLogic,
     switching: SwitchingLogic,
     buffers: BufferTracker,
     rng: SimRng,
@@ -339,10 +471,9 @@ struct SimState {
     scheds: Vec<Option<Schedule>>,
     free_scheds: Vec<usize>,
 
-    /// One-entry serialization memos for the two per-packet rates (host
-    /// NIC and OCS circuit): packet streams repeat the MTU size, so the
-    /// hot paths skip a division per packet.
-    host_tx: TxTimeCache,
+    /// One-entry serialization memo for the OCS circuit rate: grant
+    /// bursts repeat the MTU size, so the hot path skips a division per
+    /// packet.
     line_tx: TxTimeCache,
 
     // Epoch-loop scratch buffers, reused so the per-epoch path performs
@@ -394,7 +525,7 @@ struct SimState {
 
     /// Deterministic internal counters, merged from the scheduler's
     /// per-epoch observability deltas as the run goes and from the
-    /// event queue / packet pool ledgers at the end. Plain u64 adds,
+    /// event queues / packet pool ledgers at the end. Plain u64 adds,
     /// always on.
     counters: CounterSet,
     /// The flight recorder, present only when the build requested
@@ -404,18 +535,9 @@ struct SimState {
     trace: Option<TraceRecorder>,
 }
 
-impl SimState {
+impl Coord {
     fn gated(&self, class: TrafficClass) -> bool {
         class == TrafficClass::Bulk || (self.cfg.voip_on_ocs && class == TrafficClass::Interactive)
-    }
-
-    fn ensure_pump(&mut self, q: &mut EventQueue<Ev>, host: usize) {
-        let h = &mut self.hosts[host];
-        if !h.pump_active {
-            h.pump_active = true;
-            let at = q.now().max(h.nic_busy_until);
-            q.schedule_at(at, Ev::Pump { host });
-        }
     }
 
     /// Books a delivery: the exact byte counters update inline (they are
@@ -449,73 +571,78 @@ impl SimState {
         }
     }
 
-    fn inject_flow(&mut self, q: &mut EventQueue<Ev>, now: SimTime, f: FlowSpec) {
+    /// Books a flow as offered at injection.
+    fn offer_flow(&mut self, f: &FlowSpec, now: SimTime) {
         self.offered_bytes += f.bytes;
         self.offered_flows += 1;
         self.delivery_sink.on_flow_started(f.id, f.bytes, now);
-        let host = f.src.index();
-        let gated = self.gated(f.class);
-        for (seq, size) in packet_sizes(f.bytes, self.cfg.mtu).enumerate() {
-            let pkt = Packet::new(
-                self.next_pkt_id,
-                f.id,
-                f.src,
-                f.dst,
-                size,
-                f.class,
-                now,
-                seq as u32,
-            );
-            self.next_pkt_id += 1;
-            if gated && !self.is_hw {
-                // Slow scheduling: bulk waits in host memory for a grant.
-                let h = &mut self.hosts[host];
-                let d = f.dst.index();
-                self.host_pool.push(&mut h.voq[d], pkt);
-                h.voq_bytes[d] += size as u64;
-                h.voq_total += size as u64;
-                h.voq_arrived[d] += size as u64;
-                h.voq_dirty[d] = true;
-                if self.track_buffers {
-                    self.buffers.on_enqueue(Site::Host, size as u64, now);
-                }
-            } else {
-                let h = &mut self.hosts[host];
-                let q = match pkt.class {
-                    TrafficClass::Interactive => &mut h.q_inter,
-                    TrafficClass::Short => &mut h.q_short,
-                    TrafficClass::Bulk => &mut h.q_bulk,
-                };
-                self.host_pool.push(q, pkt);
-            }
-        }
-        self.ensure_pump(q, host);
     }
 
-    fn host_requests_into(&mut self, now: SimTime, out: &mut Vec<SchedRequest>) {
-        out.clear();
-        for (hi, h) in self.hosts.iter_mut().enumerate() {
-            for d in 0..h.voq_dirty.len() {
-                if h.voq_dirty[d] {
-                    h.voq_dirty[d] = false;
-                    out.push(SchedRequest {
-                        src: hi,
-                        dst: d,
-                        queued_bytes: h.voq_bytes[d],
-                        arrived_bytes_total: h.voq_arrived[d],
-                        at: now,
-                    });
-                }
+    /// A non-gated packet reaches the switch ingress at `now`: EPS
+    /// admission, delivered or dropped on a full buffer.
+    fn eps_arrival(&mut self, pkt: &Packet, now: SimTime) {
+        match self
+            .switching
+            .eps
+            .enqueue(pkt.dst.index(), pkt.bytes as u64, now)
+        {
+            Ok(dep) => {
+                let deliver = dep + self.cfg.host_link.propagation;
+                self.record_delivery(pkt, deliver, DeliveryPath::Eps);
+                self.flush_deliveries();
             }
+            Err(()) => self.drop_sink.on_drop(DropCause::EpsFull, now),
         }
     }
 
-    /// Writes the true host-VOQ occupancy into the reused truth buffer.
-    fn host_occupancy_into_scratch(&mut self) {
-        let n = self.cfg.n_ports;
-        for (hi, h) in self.hosts.iter().enumerate() {
-            for d in 0..n {
-                self.truth_scratch.set(hi, d, h.voq_bytes[d]);
+    /// (Slow mode) A host-released packet reaches the switch at `now`
+    /// expecting a live circuit.
+    fn ocs_arrival(&mut self, pkt: &Packet, now: SimTime) {
+        let (i, j, bytes) = (pkt.src.index(), pkt.dst.index(), pkt.bytes as u64);
+        if self.faults.as_ref().is_some_and(|fs| fs.pair_failed(i, j)) {
+            // The link died while the packet was in flight: the light
+            // went into a dark fiber.
+            self.drop_sink.on_drop(DropCause::LinkDark, now);
+            return;
+        }
+        match self.switching.ocs.transmit(i, j, bytes, now) {
+            Ok(()) => {
+                let deliver = now + self.cfg.host_link.propagation;
+                self.record_delivery(pkt, deliver, DeliveryPath::Ocs);
+                self.flush_deliveries();
+            }
+            // Dark window or re-assigned circuit: the light went nowhere
+            // useful.
+            Err(_) => self.drop_sink.on_drop(DropCause::SyncViolation, now),
+        }
+    }
+
+    /// Draws the generator's first flow into `pending_flow`, returning
+    /// its start if it is due at all.
+    fn draw_first_flow(&mut self) -> Option<SimTime> {
+        let f = self.flowgen.as_mut()?.next_flow();
+        (f.start <= self.flow_stop).then(|| {
+            let start = f.start;
+            self.pending_flow = Some(f);
+            start
+        })
+    }
+
+    /// Seeds the coordinator events every run starts with, in the order
+    /// both fabrics rely on: apps, the matrix rotation, the scheduler
+    /// cadence, then the fault chain when a plan is armed.
+    fn seed<F: Fabric>(&mut self, q: &mut F::Queue) {
+        let t0 = SimTime::ZERO;
+        for (i, a) in self.apps.iter().enumerate() {
+            F::post(q, a.start, t0, CoordEv::AppSend { app: i });
+        }
+        if let Some(cycle) = &self.matrix_cycle {
+            F::post(q, t0 + cycle.period, t0, CoordEv::RotateMatrix { idx: 1 });
+        }
+        F::post(q, t0, t0, CoordEv::EpochStart);
+        if let Some(fs) = &mut self.faults {
+            if let Some(at) = fs.first_fault_at() {
+                F::post(q, at, t0, CoordEv::LinkFault);
             }
         }
     }
@@ -532,6 +659,632 @@ impl SimState {
                 self.scheds.push(Some(sched));
                 self.scheds.len() - 1
             }
+        }
+    }
+
+    /// Handles one coordinator event — the single implementation both
+    /// fabrics run (the sharded core calls it at barriers, when the
+    /// coordinator owns every shard).
+    fn handle<F: Fabric>(&mut self, fab: &mut F, q: &mut F::Queue, now: SimTime, ev: CoordEv) {
+        match ev {
+            CoordEv::AppSend { app } => {
+                let a = self.apps[app].clone();
+                let mut rec = StagedFlow::single(
+                    self.next_pkt_id,
+                    APP_FLOW_BASE + app as u64,
+                    a.src,
+                    a.dst,
+                    a.pkt_bytes,
+                    now,
+                );
+                self.next_pkt_id += 1;
+                self.offered_bytes += a.pkt_bytes as u64;
+                if self.gated(TrafficClass::Interactive) && !self.is_hw {
+                    // voip_on_ocs ablation under slow scheduling: the call
+                    // waits in host memory like any elephant.
+                    fab.hold_at_host(rec.next().expect("one packet"));
+                    if self.track_buffers {
+                        self.buffers.on_enqueue(Site::Host, a.pkt_bytes as u64, now);
+                    }
+                } else {
+                    fab.stage_app(q, now, rec);
+                }
+                let next = a.next_send(now, &mut self.rng);
+                if next <= self.horizon {
+                    F::post(q, next, now, CoordEv::AppSend { app });
+                }
+            }
+
+            CoordEv::EpochStart => self.epoch(fab, q, now),
+
+            CoordEv::ApplySchedule { sid } => {
+                F::post(q, now, now, CoordEv::SlotConfigure { sid, idx: 0 });
+            }
+
+            CoordEv::SlotConfigure { sid, idx } => {
+                // Reconfiguration misfire: the configure may apply late
+                // (the dark window stretches) or not at all (the stale
+                // permutation stays up for the whole slot).
+                let slot_fault = match &mut self.faults {
+                    Some(fs) => fs.draw_misfire(),
+                    None => SlotFault::None,
+                };
+                if slot_fault != SlotFault::None {
+                    self.counters.fault_events_injected += 1;
+                }
+                if slot_fault == SlotFault::Stale {
+                    self.faults
+                        .as_mut()
+                        .expect("stale draw implies a plan")
+                        .mark_stale(sid, idx);
+                }
+                let entry = &self.scheds[sid]
+                    .as_ref()
+                    .expect("schedule slot live")
+                    .entries[idx];
+                let active_at = match slot_fault {
+                    SlotFault::None => self.switching.configure(&entry.perm, now),
+                    SlotFault::Late(extra) => self.switching.configure(&entry.perm, now + extra),
+                    // No configure happened: the slot "activates" on the
+                    // nominal timeline, against the stale permutation.
+                    SlotFault::Stale => now + self.cfg.reconfig,
+                };
+                let slot_end = active_at + entry.slot;
+                if !self.is_hw && slot_fault != SlotFault::Stale {
+                    // Grants travel the control channel to the hosts. The
+                    // advertised window is shrunk by the guard band on
+                    // both edges so a host whose clock is wrong by up to
+                    // `guard` still lands inside the live circuit.
+                    let g = self.cfg.guard;
+                    let gs = active_at + g;
+                    let ge = SimTime::from_nanos(slot_end.as_nanos().saturating_sub(g.as_nanos()));
+                    if ge > gs {
+                        for (i, j) in entry.perm.pairs() {
+                            let grant = Grant {
+                                host: i,
+                                dst: j,
+                                slot_start: gs,
+                                slot_end: ge,
+                            };
+                            fab.send_grant(q, now + self.ctrl_oneway, now, grant);
+                        }
+                    }
+                }
+                F::post(q, active_at, now, CoordEv::SlotActive { sid, idx });
+            }
+
+            CoordEv::SlotActive { sid, idx } => {
+                // Move the schedule out of the slab for the duration of
+                // the grant burst (record_delivery needs `&mut self`),
+                // and retire the slot after the last entry.
+                let sched = self.scheds[sid].take().expect("schedule slot live");
+                let entry = &sched.entries[idx];
+                let slot_end = now + entry.slot;
+                // A stale slot's configure never applied: every granted
+                // pair fails over. A faulted pair fails over alone.
+                let stale = match &mut self.faults {
+                    Some(fs) => fs.take_stale(sid, idx),
+                    None => false,
+                };
+                if self.is_hw {
+                    self.apply(fab, entry, idx, stale, now);
+                }
+                if idx + 1 < sched.entries.len() {
+                    self.scheds[sid] = Some(sched);
+                    F::post(
+                        q,
+                        slot_end,
+                        now,
+                        CoordEv::SlotConfigure { sid, idx: idx + 1 },
+                    );
+                } else {
+                    self.free_scheds.push(sid);
+                }
+            }
+
+            CoordEv::RotateMatrix { idx } => {
+                if let (Some(cycle), Some(g)) = (&self.matrix_cycle, &mut self.flowgen) {
+                    g.set_matrix(cycle.matrices[idx % cycle.matrices.len()].clone());
+                    let next = now + cycle.period;
+                    if next <= self.horizon {
+                        F::post(q, next, now, CoordEv::RotateMatrix { idx: idx + 1 });
+                    }
+                }
+            }
+
+            CoordEv::LinkFault => {
+                let fs = self.faults.as_mut().expect("LinkFault implies a plan");
+                let (port, repair_at, next) = fs.on_link_fault(now);
+                if let Some(at) = repair_at {
+                    self.counters.fault_events_injected += 1;
+                    F::post(q, at, now, CoordEv::LinkRepair { port });
+                }
+                if let Some(at) = next {
+                    if at <= self.horizon {
+                        F::post(q, at, now, CoordEv::LinkFault);
+                    }
+                }
+            }
+
+            CoordEv::LinkRepair { port } => {
+                self.faults
+                    .as_mut()
+                    .expect("LinkRepair implies a plan")
+                    .on_link_repair(port, now);
+            }
+        }
+    }
+
+    /// An epoch boundary (Figure 2): requests → demand estimation →
+    /// algorithm, then the decision is scheduled to land after its
+    /// placement's latency.
+    fn epoch<F: Fabric>(&mut self, fab: &mut F, q: &mut F::Queue, now: SimTime) {
+        // xlint: allow(wall-clock) — epoch phase-timing split (RunReport::phases): host-time observability, excluded from golden serialization
+        let phase_t0 = std::time::Instant::now();
+        // Pool-boundary audit, once per epoch: every chunk in a host pool
+        // is on the free list or reachable from exactly one staging queue
+        // / VOQ (the switch-side pools assert the same inside
+        // `take_requests_into`). Free in release builds.
+        fab.audit_epoch();
+        // Requests, demand and ground truth all land in reused scratch
+        // buffers: this loop runs every epoch and must not make n²-sized
+        // allocations.
+        let mut reqs = std::mem::take(&mut self.reqs_scratch);
+        fab.requests_into(self.is_hw, now, &mut reqs);
+        for r in &reqs {
+            self.estimator.on_request(r);
+        }
+        self.reqs_scratch = reqs;
+        // Estimators that keep the estimate materialized (the mirror)
+        // lend it out via `estimate_ref`; only the ones that must compute
+        // one fill the scratch matrix. The lent reference is stable
+        // within the epoch, so it is re-borrowed wherever the estimate is
+        // read.
+        let have_ref = self.estimator.estimate_ref(now, self.cfg.epoch).is_some();
+        if !have_ref {
+            self.estimator
+                .estimate_into(now, self.cfg.epoch, &mut self.demand_scratch);
+        }
+        // Demand-error sampling. The ground-truth backlog (the
+        // EpochSample observable) is always available cheaply. The
+        // mirror's error is identically zero by construction (every
+        // occupancy change produced a request), and the non-mirror
+        // ground-truth snapshot + L1 pass (two n² walks) runs only when
+        // the epoch probe wants the sample — the lean profile declines
+        // it.
+        let truth_total = fab.backlog(self.is_hw);
+        let mut demand_err_rel: Option<f64> = None;
+        if self.estimator_is_mirror {
+            if truth_total > 0 {
+                demand_err_rel = Some(0.0);
+            }
+        } else if self.want_demand_error {
+            fab.occupancy_into(self.is_hw, &mut self.truth_scratch);
+            let estimate = match self.estimator.estimate_ref(now, self.cfg.epoch) {
+                Some(m) => m,
+                None => &self.demand_scratch,
+            };
+            let (err_l1, tt) = estimate.error_vs(&self.truth_scratch);
+            debug_assert_eq!(tt, truth_total, "snapshot disagrees with running total");
+            if truth_total > 0 {
+                demand_err_rel = Some(err_l1 as f64 / truth_total as f64);
+            }
+        }
+        let ctx = ScheduleCtx {
+            now,
+            line_rate: self.cfg.line_rate,
+            reconfig: self.cfg.reconfig,
+            epoch: self.cfg.epoch,
+            max_entries: self.cfg.max_entries,
+        };
+        let demand = match self.estimator.estimate_ref(now, self.cfg.epoch) {
+            Some(m) => m,
+            None => &self.demand_scratch,
+        };
+        // Graceful degradation: while ports are dark to injected faults,
+        // the scheduler sees their rows/columns zeroed — it never plans
+        // circuits through a dead link.
+        let demand = match &mut self.faults {
+            Some(fs) if fs.n_failed > 0 => fs.mask_demand(demand),
+            _ => demand,
+        };
+        // xlint: allow(wall-clock) — phase-timing block boundary (estimate → decompose), never serialized into goldens
+        let phase_t1 = std::time::Instant::now();
+        self.phases.estimate += phase_t1.duration_since(phase_t0).as_nanos() as u64;
+        let sched = self.scheduler.schedule(demand, &ctx);
+        // xlint: allow(wall-clock) — phase-timing block boundary (decompose end), never serialized into goldens
+        let phase_t2 = std::time::Instant::now();
+        self.phases.decompose += phase_t2.duration_since(phase_t1).as_nanos() as u64;
+        if let Some(obs) = self.scheduler.take_obs() {
+            let c = &mut self.counters;
+            c.sched_memo_hits += obs.memo_hits;
+            c.sched_hk_runs += obs.hk_runs;
+            c.sched_probes += obs.probes;
+            c.sched_worklist_peak = c.sched_worklist_peak.max(obs.worklist_len);
+            c.sched_bucket_peak = c.sched_bucket_peak.max(obs.buckets_len);
+            if let Some(tr) = &mut self.trace {
+                for s in &obs.spans {
+                    tr.span_between("sched", s.name, s.start, s.end, &[s.arg]);
+                }
+            }
+        }
+        if let Some(tr) = &mut self.trace {
+            // The epoch span and its two phase children reuse the
+            // phase-accounting instants read above — tracing adds no
+            // clock reads here, on or off.
+            let entries = sched.entries.len() as u64;
+            tr.span_between(
+                "epoch",
+                "epoch",
+                phase_t0,
+                phase_t2,
+                &[("epoch", self.decisions)],
+            );
+            tr.span_between("epoch", "estimate", phase_t0, phase_t1, &[]);
+            tr.span_between(
+                "epoch",
+                "decompose",
+                phase_t1,
+                phase_t2,
+                &[("entries", entries)],
+            );
+        }
+        debug_assert!(
+            sched.validate(&ctx, self.cfg.n_ports).is_ok(),
+            "{} produced an invalid schedule",
+            self.scheduler.name()
+        );
+        let mut d = self
+            .cfg
+            .placement
+            .decision_latency(self.cfg.n_ports, &mut self.rng);
+        // Scheduler stall: the decision arrives k epochs late and the
+        // fabric coasts on the previous schedule meanwhile.
+        if let Some(fs) = &mut self.faults {
+            if let Some(extra) = fs.draw_stall(self.cfg.epoch) {
+                d += extra;
+                self.counters.fault_events_injected += 1;
+            }
+        }
+        self.decisions += 1;
+        self.decision_ns_sum += d.as_nanos() as u128;
+        self.epoch_probe.on_epoch(&EpochSample {
+            // One sample per decision: `decisions` was just incremented,
+            // so the zero-based epoch id is one source of truth, not a
+            // second counter.
+            epoch: self.decisions - 1,
+            at: now,
+            demand_err_rel,
+            backlog_bytes: truth_total,
+            decision_ns: d.as_nanos(),
+            ocs_dark_ns: self.switching.ocs.stats().dark_time.as_nanos(),
+            entries: sched.entries.len(),
+        });
+        if !sched.entries.is_empty() {
+            let sid = self.alloc_sched(sched);
+            F::post(q, now + d, now, CoordEv::ApplySchedule { sid });
+        }
+        let next = now + self.cfg.epoch.max(d);
+        if next <= self.horizon {
+            F::post(q, next, now, CoordEv::EpochStart);
+        }
+    }
+
+    /// (Fast mode) Grant execution for slot `idx`: budgeted dequeue of
+    /// every granted pair, packets serialized at line rate onto the
+    /// circuit — or diverted onto the EPS when the slot is `stale` or
+    /// the circuit faulted.
+    fn apply<F: Fabric>(
+        &mut self,
+        fab: &mut F,
+        entry: &ScheduleEntry,
+        idx: usize,
+        stale: bool,
+        now: SimTime,
+    ) {
+        // xlint: allow(wall-clock) — apply phase-timing block start (RunReport::phases), excluded from golden serialization
+        let phase_t0 = std::time::Instant::now();
+        let budget = self.cfg.line_rate.bytes_in(entry.slot);
+        let mut granted = std::mem::take(&mut self.grant_scratch);
+        for (i, j) in entry.perm.pairs() {
+            granted.clear();
+            fab.dequeue_upto_into(i, j, budget, &mut granted);
+            if granted.is_empty() {
+                continue;
+            }
+            // With faults armed, stall-delayed schedules can overlap: a
+            // later schedule's configure may have darkened or re-aimed
+            // the fabric mid-slot, so the fault path probes the circuit
+            // where the clean path may assert it.
+            let diverted = stale
+                || self.faults.as_ref().is_some_and(|fs| fs.pair_failed(i, j))
+                || (self.faults.is_some() && self.switching.ocs.output_for(i, now) != Some(j));
+            if diverted {
+                // Graceful degradation: the granted burst cannot ride the
+                // circuit (dark link or stale permutation) — divert it
+                // onto the EPS slow path packet by packet instead of
+                // losing it.
+                for pkt in granted.drain(..) {
+                    let bytes = pkt.bytes as u64;
+                    if self.track_buffers {
+                        // The bytes leave the VOQ now either way (EPS
+                        // keeps its own ledger).
+                        self.release_scratch.push((now.as_nanos(), bytes));
+                    }
+                    match self.switching.eps.enqueue(j, bytes, now) {
+                        Ok(dep) => {
+                            self.counters.fault_failover_bytes += bytes;
+                            let deliver = dep + self.cfg.host_link.propagation;
+                            self.record_delivery(&pkt, deliver, DeliveryPath::Eps);
+                        }
+                        Err(()) => self.drop_sink.on_drop(DropCause::EpsFull, now),
+                    }
+                }
+                continue;
+            }
+            // xlint: allow(wall-clock) — flight-recorder grant-burst span start, gated on trace; wall-clock stays out of goldens
+            let burst_t0 = self.trace.is_some().then(std::time::Instant::now);
+            let npkts = granted.len() as u64;
+            self.counters.grant_bursts += 1;
+            self.counters.grant_pkts_max = self.counters.grant_pkts_max.max(npkts);
+            // One circuit validation per burst (identical accounting to
+            // per-packet transmits).
+            let total: u64 = granted.iter().map(|p| p.bytes as u64).sum();
+            self.switching
+                .ocs
+                .transmit_batch(i, j, total, npkts, now)
+                .expect("granted circuit must be live");
+            let mut cursor = now;
+            for pkt in granted.drain(..) {
+                let bytes = pkt.bytes as u64;
+                let dep = cursor + self.line_tx.tx_time(bytes);
+                cursor = dep;
+                if self.track_buffers {
+                    self.release_scratch.push((dep.as_nanos(), bytes));
+                }
+                let deliver = dep + self.cfg.host_link.propagation;
+                self.record_delivery(&pkt, deliver, DeliveryPath::Ocs);
+            }
+            if let (Some(t0), Some(tr)) = (burst_t0, &mut self.trace) {
+                tr.span_between(
+                    "slot",
+                    "grant_burst",
+                    t0,
+                    // xlint: allow(wall-clock) — flight-recorder span end, trace-gated
+                    std::time::Instant::now(),
+                    &[("pkts", npkts)],
+                );
+            }
+        }
+        // All pairs drained the same slot: flush their releases as one
+        // timestamp-coalesced batch, and the slot's deliveries as one
+        // sink batch.
+        if self.track_buffers {
+            let mut releases = std::mem::take(&mut self.release_scratch);
+            self.buffers
+                .on_dequeue_at_batch(Site::Switch, &mut releases);
+            self.release_scratch = releases;
+        }
+        self.flush_deliveries();
+        self.grant_scratch = granted;
+        // xlint: allow(wall-clock) — apply phase-timing block end (RunReport::phases), excluded from golden serialization
+        let phase_t1 = std::time::Instant::now();
+        self.phases.apply += phase_t1.duration_since(phase_t0).as_nanos() as u64;
+        if let Some(tr) = &mut self.trace {
+            // Reuses the apply-phase instants: the slot span nests the
+            // grant-burst spans recorded above.
+            tr.span_between(
+                "epoch",
+                "apply",
+                phase_t0,
+                phase_t1,
+                &[("entry", idx as u64)],
+            );
+        }
+    }
+}
+
+/// The classic K = 1 fabric: every host, one shared host pool and the
+/// full `n × n` VOQ bank, all driven from the single event queue.
+struct Ports {
+    hosts: Vec<Host>,
+    /// Shared chunk pool backing every host's staging queues and VOQs.
+    host_pool: PacketPool,
+    proc: ProcessingLogic,
+    /// One-entry serialization memo for the host NIC rate (packet streams
+    /// repeat the MTU size, so the pump skips a division per packet).
+    host_tx: TxTimeCache,
+}
+
+impl Ports {
+    fn ensure_pump(&mut self, q: &mut EventQueue<Ev>, host: usize) {
+        if let Some(at) = self.hosts[host].wake_pump(q.now()) {
+            q.schedule_at(at, Ev::Pump { host });
+        }
+    }
+
+    /// Materializes every packet of `f` at its source host: gated bulk
+    /// into the host VOQs (slow mode), the rest into the NIC's class
+    /// queues.
+    fn inject_flow(&mut self, co: &mut Coord, q: &mut EventQueue<Ev>, now: SimTime, f: FlowSpec) {
+        co.offer_flow(&f, now);
+        let host = f.src.index();
+        let rec = StagedFlow::flow(&f, co.next_pkt_id, now, co.cfg.mtu);
+        co.next_pkt_id += rec.pkts_left as u64;
+        let h = &mut self.hosts[host];
+        if co.gated(f.class) && !co.is_hw {
+            // Slow scheduling: bulk waits in host memory for a grant.
+            for pkt in rec {
+                let bytes = pkt.bytes as u64;
+                h.hold(&mut self.host_pool, pkt);
+                if co.track_buffers {
+                    co.buffers.on_enqueue(Site::Host, bytes, now);
+                }
+            }
+        } else {
+            let fifo = &mut h.pkts[class_rank(f.class)];
+            for pkt in rec {
+                self.host_pool.push(fifo, pkt);
+            }
+        }
+        self.ensure_pump(q, host);
+    }
+}
+
+impl Fabric for Ports {
+    type Queue = EventQueue<Ev>;
+
+    fn post(q: &mut EventQueue<Ev>, at: SimTime, _now: SimTime, ev: CoordEv) {
+        q.schedule_at(at, Ev::Coord(ev));
+    }
+
+    fn audit_epoch(&self) {
+        self.host_pool.debug_assert_conserved();
+    }
+
+    fn requests_into(&mut self, hw: bool, now: SimTime, out: &mut Vec<SchedRequest>) {
+        out.clear();
+        if hw {
+            self.proc.take_requests_into(now, out);
+        } else {
+            for (src, h) in self.hosts.iter_mut().enumerate() {
+                h.take_requests(src, now, out);
+            }
+        }
+    }
+
+    fn backlog(&self, hw: bool) -> u64 {
+        if hw {
+            self.proc.total_bytes()
+        } else {
+            self.hosts.iter().map(|h| h.voq_total).sum()
+        }
+    }
+
+    fn occupancy_into(&self, hw: bool, out: &mut DemandMatrix) {
+        if hw {
+            self.proc.occupancy_into(out);
+        } else {
+            for (src, h) in self.hosts.iter().enumerate() {
+                h.occupancy_row_into(src, out);
+            }
+        }
+    }
+
+    fn dequeue_upto_into(&mut self, i: usize, j: usize, budget: u64, out: &mut Vec<Packet>) {
+        self.proc.dequeue_upto_into(i, j, budget, out);
+    }
+
+    fn send_grant(&mut self, q: &mut EventQueue<Ev>, at: SimTime, _now: SimTime, g: Grant) {
+        q.schedule_at(at, Ev::HostGrant(g));
+    }
+
+    fn hold_at_host(&mut self, pkt: Packet) {
+        self.hosts[pkt.src.index()].hold(&mut self.host_pool, pkt);
+    }
+
+    fn stage_app(&mut self, q: &mut EventQueue<Ev>, _now: SimTime, mut rec: StagedFlow) {
+        let host = rec.src.index();
+        let pkt = rec.next().expect("one packet");
+        self.host_pool.push(&mut self.hosts[host].pkts[0], pkt);
+        self.ensure_pump(q, host);
+    }
+
+    fn finish(&self, c: &mut CounterSet) {
+        if let Err(e) = self.host_pool.check_conserved() {
+            panic!("end-of-run host pool audit failed: {e}");
+        }
+        if let Err(e) = self.proc.check_pool_conserved() {
+            panic!("end-of-run switch pool audit failed: {e}");
+        }
+        let (allocs, frees, peak, growths) = self.proc.pool_ledger();
+        c.pool_allocs = self.host_pool.alloc_count() + allocs;
+        c.pool_frees = self.host_pool.free_count() + frees;
+        // Sum of per-pool high-water marks (the pools never trade
+        // packets, so the sum is a deterministic combined ceiling).
+        c.pool_live_peak = self.host_pool.live_peak() + peak;
+        c.pool_chunk_growths = self.host_pool.chunk_growth_count() + growths;
+    }
+}
+
+/// The classic single-queue run: the coordinator and the [`Ports`]
+/// fabric it drives, under one event loop.
+struct Classic {
+    co: Coord,
+    fab: Ports,
+}
+
+impl Classic {
+    /// Runs the port-side events and hands coordinator events to
+    /// [`Coord::handle`].
+    fn handle(st: &mut Classic, q: &mut EventQueue<Ev>, now: SimTime, ev: Ev) {
+        let Classic { co, fab } = st;
+        match ev {
+            Ev::NextFlow => {
+                if let Some(f) = co.pending_flow.take() {
+                    fab.inject_flow(co, q, now, f);
+                }
+                if let Some(g) = &mut co.flowgen {
+                    let f = g.next_flow();
+                    if f.start <= co.flow_stop && f.start <= co.horizon {
+                        q.schedule_at(f.start, Ev::NextFlow);
+                        co.pending_flow = Some(f);
+                    }
+                }
+            }
+
+            Ev::Pump { host } => {
+                let h = &mut fab.hosts[host];
+                if now < h.nic_busy_until {
+                    // A grant burst claimed the NIC; come back when free.
+                    q.schedule_at(h.nic_busy_until, Ev::Pump { host });
+                    return;
+                }
+                let Some(pkt) = h.pop_staged(&mut fab.host_pool) else {
+                    h.pump_active = false;
+                    return;
+                };
+                let tx = fab.host_tx.tx_time(pkt.bytes as u64);
+                h.nic_busy_until = now + tx;
+                q.schedule_at(
+                    now + tx + co.cfg.host_link.propagation,
+                    Ev::SwitchIn { pkt },
+                );
+                q.schedule_at(now + tx, Ev::Pump { host });
+            }
+
+            Ev::SwitchIn { pkt } => {
+                if co.gated(pkt.class) {
+                    debug_assert!(co.is_hw, "slow mode gates bulk at hosts");
+                    let bytes = pkt.bytes as u64;
+                    match fab.proc.enqueue(pkt) {
+                        Ok(()) => {
+                            if co.track_buffers {
+                                co.buffers.on_enqueue(Site::Switch, bytes, now);
+                            }
+                        }
+                        Err(_) => co.drop_sink.on_drop(DropCause::VoqFull, now),
+                    }
+                } else {
+                    co.eps_arrival(&pkt, now);
+                }
+            }
+
+            Ev::HostGrant(g) => {
+                let prop = co.cfg.host_link.propagation;
+                let (buffers, track) = (&mut co.buffers, co.track_buffers);
+                let h = &mut fab.hosts[g.host];
+                h.send_granted(&mut fab.host_pool, &mut fab.host_tx, now, g, |pkt, dep| {
+                    if track {
+                        buffers.on_dequeue_at(Site::Host, pkt.bytes as u64, dep);
+                    }
+                    q.schedule_at(dep + prop, Ev::OcsIn { pkt });
+                });
+            }
+
+            Ev::OcsIn { pkt } => co.ocs_arrival(&pkt, now),
+
+            Ev::Coord(ev) => co.handle(fab, q, now, ev),
         }
     }
 }
@@ -807,16 +1560,18 @@ impl SimBuilder {
         let want_deliveries = instr.delivery.wants_batches();
         let want_demand_error = instr.epoch.wants_demand_error();
         let estimator_is_mirror = estimator.mirrors_occupancy();
-        let state = SimState {
-            // A sharded run keeps its VOQ rows in per-shard banks; the
-            // builder's full-fabric bank would be dead weight (n² pair
-            // states — ~200 MB at 2048 ports), so it gets an inert
-            // zero-row husk instead.
-            proc: if shard_map.is_some() {
-                ProcessingLogic::with_rows(n, cfg.voq_capacity, Vec::new())
-            } else {
-                ProcessingLogic::new(n, cfg.voq_capacity)
-            },
+        // The classic fabric (with its full-fabric VOQ bank) is built
+        // here; a sharded run partitions the hosts when it starts.
+        let core = match shard_map {
+            Some(map) => Core::Sharded(hosts, map, shard_exec),
+            None => Core::Classic(Box::new(Ports {
+                hosts,
+                host_pool: PacketPool::new(),
+                proc: ProcessingLogic::new(n, cfg.voq_capacity),
+                host_tx: cfg.host_link.rate.tx_cache(),
+            })),
+        };
+        let co = Coord {
             switching: SwitchingLogic::new(n, cfg.reconfig, cfg.eps_rate, cfg.eps_buffer),
             buffers: BufferTracker::new(),
             horizon: SimTime::MAX,
@@ -829,14 +1584,11 @@ impl SimBuilder {
             flow_stop: workload.flow_stop,
             apps: workload.apps,
             matrix_cycle: workload.matrix_cycle,
-            hosts,
-            host_pool: PacketPool::new(),
             rng,
             faults,
             estimator_is_mirror,
             scheds: Vec::new(),
             free_scheds: Vec::new(),
-            host_tx: cfg.host_link.rate.tx_cache(),
             line_tx: cfg.line_rate.tx_cache(),
             // Tracked: estimators with exact zero cells clear and fill
             // it by worklist, and sparse-aware schedulers read the
@@ -865,23 +1617,23 @@ impl SimBuilder {
             trace: trace.then(TraceRecorder::new),
             cfg,
         };
-        Ok(HybridSim {
-            state,
-            sim: Simulation::new(),
-            shard_map,
-            shard_exec,
-        })
+        Ok(HybridSim { co, core })
     }
+}
+
+/// Which exact core a [`HybridSim`] runs on.
+enum Core {
+    /// The classic single-queue loop (K = 1).
+    Classic(Box<Ports>),
+    /// The sharded core (K > 1): every port's host, clock offsets drawn,
+    /// waiting to be partitioned.
+    Sharded(Vec<Host>, ShardMap, ShardExec),
 }
 
 /// The assembled simulation: configuration + workload + scheduling logic.
 pub struct HybridSim {
-    state: SimState,
-    sim: Simulation<Ev>,
-    /// `Some` iff the build asked for more than one shard: `run`
-    /// dispatches to the sharded core.
-    shard_map: Option<ShardMap>,
-    shard_exec: ShardExec,
+    co: Coord,
+    core: Core,
 }
 
 impl HybridSim {
@@ -891,105 +1643,74 @@ impl HybridSim {
     }
 
     /// Runs the testbed until `horizon` and returns the report.
-    pub fn run(mut self, horizon: SimTime) -> RunReport {
-        if let Some(map) = self.shard_map.take() {
-            return shard::run_sharded(self, horizon, map);
+    pub fn run(self, horizon: SimTime) -> RunReport {
+        let HybridSim { mut co, core } = self;
+        co.horizon = horizon;
+        let fab = match core {
+            Core::Classic(fab) => *fab,
+            Core::Sharded(hosts, map, exec) => return shard::run_sharded(co, hosts, map, exec),
+        };
+        let mut sim = Simulation::new();
+        // Seed: first flow, then the coordinator's events.
+        if let Some(start) = co.draw_first_flow() {
+            sim.queue.schedule_at(start, Ev::NextFlow);
         }
-        self.state.horizon = horizon;
-        let q = &mut self.sim.queue;
-        // Seed: first flow…
-        if let Some(g) = &mut self.state.flowgen {
-            let f = g.next_flow();
-            if f.start <= self.state.flow_stop {
-                q.schedule_at(f.start, Ev::NextFlow);
-                self.state.pending_flow = Some(f);
-            }
-        }
-        // …apps…
-        for (i, a) in self.state.apps.iter().enumerate() {
-            q.schedule_at(a.start, Ev::AppSend { app: i });
-        }
-        // …the matrix rotation, if any…
-        if let Some(cycle) = &self.state.matrix_cycle {
-            q.schedule_at(SimTime::ZERO + cycle.period, Ev::RotateMatrix { idx: 1 });
-        }
-        // …and the scheduler cadence.
-        q.schedule_at(SimTime::ZERO, Ev::EpochStart);
-        // …and the fault chain, when a plan is armed.
-        if let Some(fs) = &mut self.state.faults {
-            if let Some(at) = fs.first_fault_at() {
-                q.schedule_at(at, Ev::LinkFault);
-            }
-        }
-
-        let stats = self
-            .sim
-            .run_until(&mut self.state, horizon, SimState::handle);
-
-        let mut st = self.state;
-        // Fold the structural ledgers into the counter registry. The
-        // ladder queue and the two packet pools own their counts; the
-        // registry harvests them once, after the last event.
-        st.counters.queue_spreads = self.sim.queue.spread_count();
-        st.counters.queue_spills = self.sim.queue.spill_count();
-        st.counters.queue_direct_sorts = self.sim.queue.direct_sort_count();
-        let (p_allocs, p_frees, p_peak, p_growths) = st.proc.pool_ledger();
-        st.counters.pool_allocs = st.host_pool.alloc_count() + p_allocs;
-        st.counters.pool_frees = st.host_pool.free_count() + p_frees;
-        // Sum of per-pool high-water marks (the pools never trade
-        // packets, so the sum is a deterministic combined ceiling).
-        st.counters.pool_live_peak = st.host_pool.live_peak() + p_peak;
-        st.counters.pool_chunk_growths = st.host_pool.chunk_growth_count() + p_growths;
-        st.into_report(stats.events_processed, stats.end_time, horizon)
+        co.seed::<Ports>(&mut sim.queue);
+        let mut st = Classic { co, fab };
+        let stats = sim.run_until(&mut st, horizon, Classic::handle);
+        st.co
+            .into_report(&st.fab, &sim.queue, stats.events_processed, stats.end_time)
     }
 }
 
-impl SimState {
-    /// Final audits + report assembly, shared by the classic and the
-    /// sharded core (callers fold queue/pool ledgers into `counters`
-    /// first — the two cores harvest different structures).
-    fn into_report(self, events: u64, end_time: SimTime, horizon: SimTime) -> RunReport {
-        let mut st = self;
+impl Coord {
+    /// Final audits + report assembly, shared by both fabrics: folds the
+    /// coordinator queue's ledger and the fabric's (see
+    /// [`Fabric::finish`]) into the counter registry first.
+    fn into_report<F: Fabric, E>(
+        mut self,
+        fab: &F,
+        q: &EventQueue<E>,
+        events: u64,
+        end_time: SimTime,
+    ) -> RunReport {
+        let horizon = self.horizon;
         debug_assert!(
-            st.delivery_scratch.is_empty(),
+            self.delivery_scratch.is_empty(),
             "every handler flushes its delivery batch"
         );
-        // End-of-run conservation audit, on in release builds too: a
-        // packet-pool leak is a runtime bug no report may paper over.
-        if let Err(e) = st.host_pool.check_conserved() {
-            panic!("end-of-run host pool audit failed: {e}");
-        }
-        if let Err(e) = st.proc.check_pool_conserved() {
-            panic!("end-of-run switch pool audit failed: {e}");
-        }
-        let delivery = st.delivery_sink.finish();
-        let epoch = st.epoch_probe.finish();
-        let drops = st.drop_sink.finish();
+        self.counters.queue_spreads = q.spread_count();
+        self.counters.queue_spills = q.spill_count();
+        self.counters.queue_direct_sorts = q.direct_sort_count();
+        fab.finish(&mut self.counters);
+        let delivery = self.delivery_sink.finish();
+        let epoch = self.epoch_probe.finish();
+        let drops = self.drop_sink.finish();
         // Close a still-open degraded interval at the run boundary and
         // harvest the fault/drop ledgers into the counter registry (the
         // per-cause tallies ride `--counters` output this way).
-        let fault_degraded_ns = match &mut st.faults {
+        let fault_degraded_ns = match &mut self.faults {
             Some(fs) => fs.finalize_degraded_ns(end_time.max(horizon)),
             None => 0,
         };
-        st.counters.fault_degraded_ns_max =
-            st.counters.fault_degraded_ns_max.max(fault_degraded_ns);
-        st.counters.drop_voq_full = drops.voq_full;
-        st.counters.drop_eps_full = drops.eps_full;
-        st.counters.drop_sync_violation = drops.sync_violation;
-        st.counters.drop_link_dark = drops.link_dark;
+        let c = &mut self.counters;
+        c.fault_degraded_ns_max = c.fault_degraded_ns_max.max(fault_degraded_ns);
+        c.drop_voq_full = drops.voq_full;
+        c.drop_eps_full = drops.eps_full;
+        c.drop_sync_violation = drops.sync_violation;
+        c.drop_link_dark = drops.link_dark;
         RunReport {
-            scheduler: st.scheduler.name().to_string(),
-            placement: st.cfg.placement.label().to_string(),
+            scheduler: self.scheduler.name().to_string(),
+            placement: self.cfg.placement.label().to_string(),
             horizon: end_time
                 .saturating_since(SimTime::ZERO)
                 .max(horizon.saturating_since(SimTime::ZERO)),
             events,
-            offered_bytes: st.offered_bytes,
-            offered_flows: st.offered_flows,
+            offered_bytes: self.offered_bytes,
+            offered_flows: self.offered_flows,
             completed_flows: delivery.completed_flows,
-            delivered_ocs_bytes: st.delivered_ocs,
-            delivered_eps_bytes: st.delivered_eps,
+            delivered_ocs_bytes: self.delivered_ocs,
+            delivered_eps_bytes: self.delivered_eps,
             latency_interactive: delivery.latency_interactive,
             latency_short: delivery.latency_short,
             latency_bulk: delivery.latency_bulk,
@@ -999,566 +1720,26 @@ impl SimState {
             fct_medium: delivery.fct_medium,
             fct_elephant: delivery.fct_elephant,
             fct_overall: delivery.fct_overall,
-            peak_host_buffer: st.buffers.peak(Site::Host),
-            peak_switch_buffer: st.buffers.peak(Site::Switch),
+            peak_host_buffer: self.buffers.peak(Site::Host),
+            peak_switch_buffer: self.buffers.peak(Site::Switch),
             drops,
-            ocs: st.switching.ocs.stats(),
-            eps: st.switching.eps.stats(),
-            decisions: st.decisions,
-            decision_latency_mean_ns: if st.decisions == 0 {
+            ocs: self.switching.ocs.stats(),
+            eps: self.switching.eps.stats(),
+            decisions: self.decisions,
+            decision_latency_mean_ns: if self.decisions == 0 {
                 0.0
             } else {
-                st.decision_ns_sum as f64 / st.decisions as f64
+                self.decision_ns_sum as f64 / self.decisions as f64
             },
             demand_error_mean: epoch.demand_error_mean,
             fault_degraded_ns,
-            fault_failover_bytes: st.counters.fault_failover_bytes,
-            phases: st.phases,
+            fault_failover_bytes: self.counters.fault_failover_bytes,
+            phases: self.phases,
             timeseries: epoch.series,
-            counters: st.counters,
-            chrome_trace: st.trace.map(|t| t.to_chrome_json()),
-            measured_deliveries: st.want_deliveries,
-            measured_buffers: st.track_buffers,
-        }
-    }
-
-    fn handle(st: &mut SimState, q: &mut EventQueue<Ev>, now: SimTime, ev: Ev) {
-        match ev {
-            Ev::NextFlow => {
-                if let Some(f) = st.pending_flow.take() {
-                    st.inject_flow(q, now, f);
-                }
-                if let Some(g) = &mut st.flowgen {
-                    let f = g.next_flow();
-                    if f.start <= st.flow_stop && f.start <= st.horizon {
-                        q.schedule_at(f.start, Ev::NextFlow);
-                        st.pending_flow = Some(f);
-                    }
-                }
-            }
-
-            Ev::Pump { host } => {
-                let nic_busy = st.hosts[host].nic_busy_until;
-                if now < nic_busy {
-                    // A grant burst claimed the NIC; come back when free.
-                    q.schedule_at(nic_busy, Ev::Pump { host });
-                    return;
-                }
-                let Some(pkt) = st.hosts[host].pop_staged(&mut st.host_pool) else {
-                    st.hosts[host].pump_active = false;
-                    return;
-                };
-                let tx = st.host_tx.tx_time(pkt.bytes as u64);
-                st.hosts[host].nic_busy_until = now + tx;
-                q.schedule_at(
-                    now + tx + st.cfg.host_link.propagation,
-                    Ev::SwitchIn { pkt },
-                );
-                q.schedule_at(now + tx, Ev::Pump { host });
-            }
-
-            Ev::AppSend { app } => {
-                let a = st.apps[app].clone();
-                let pkt = Packet::new(
-                    st.next_pkt_id,
-                    APP_FLOW_BASE + app as u64,
-                    a.src,
-                    a.dst,
-                    a.pkt_bytes,
-                    TrafficClass::Interactive,
-                    now,
-                    0,
-                );
-                st.next_pkt_id += 1;
-                st.offered_bytes += a.pkt_bytes as u64;
-                let host = a.src.index();
-                if st.gated(TrafficClass::Interactive) && !st.is_hw {
-                    // voip_on_ocs ablation under slow scheduling: the call
-                    // waits in host memory like any elephant.
-                    let d = a.dst.index();
-                    let h = &mut st.hosts[host];
-                    st.host_pool.push(&mut h.voq[d], pkt);
-                    h.voq_bytes[d] += a.pkt_bytes as u64;
-                    h.voq_total += a.pkt_bytes as u64;
-                    h.voq_arrived[d] += a.pkt_bytes as u64;
-                    h.voq_dirty[d] = true;
-                    if st.track_buffers {
-                        st.buffers.on_enqueue(Site::Host, a.pkt_bytes as u64, now);
-                    }
-                } else {
-                    let h = &mut st.hosts[host];
-                    st.host_pool.push(&mut h.q_inter, pkt);
-                    st.ensure_pump(q, host);
-                }
-                let next = a.next_send(now, &mut st.rng);
-                if next <= st.horizon {
-                    q.schedule_at(next, Ev::AppSend { app });
-                }
-            }
-
-            Ev::SwitchIn { pkt } => {
-                if st.gated(pkt.class) {
-                    debug_assert!(st.is_hw, "slow mode gates bulk at hosts");
-                    let bytes = pkt.bytes as u64;
-                    match st.proc.enqueue(pkt) {
-                        Ok(()) => {
-                            if st.track_buffers {
-                                st.buffers.on_enqueue(Site::Switch, bytes, now);
-                            }
-                        }
-                        Err(_) => st.drop_sink.on_drop(DropCause::VoqFull, now),
-                    }
-                } else {
-                    let out = pkt.dst.index();
-                    match st.switching.eps.enqueue(out, pkt.bytes as u64, now) {
-                        Ok(dep) => {
-                            let deliver = dep + st.cfg.host_link.propagation;
-                            st.record_delivery(&pkt, deliver, DeliveryPath::Eps);
-                            st.flush_deliveries();
-                        }
-                        Err(()) => st.drop_sink.on_drop(DropCause::EpsFull, now),
-                    }
-                }
-            }
-
-            Ev::EpochStart => {
-                // xlint: allow(wall-clock) — epoch phase-timing split (RunReport::phases): host-time observability, excluded from golden serialization
-                let phase_t0 = std::time::Instant::now();
-                // Pool-boundary audit, once per epoch: every chunk in the
-                // host pool is on the free list or reachable from exactly
-                // one staging queue / VOQ (the switch-side pool asserts
-                // the same inside `take_requests_into`). Free in release
-                // builds.
-                st.host_pool.debug_assert_conserved();
-                // Figure 2: requests → demand estimation → algorithm.
-                // Requests, demand and ground truth all land in reused
-                // scratch buffers: this loop runs every epoch and must
-                // not make n²-sized allocations.
-                let mut reqs = std::mem::take(&mut st.reqs_scratch);
-                if st.is_hw {
-                    st.proc.take_requests_into(now, &mut reqs);
-                } else {
-                    st.host_requests_into(now, &mut reqs);
-                }
-                for r in &reqs {
-                    st.estimator.on_request(r);
-                }
-                st.reqs_scratch = reqs;
-                // Estimators that keep the estimate materialized (the
-                // mirror) lend it out via `estimate_ref`; only the ones
-                // that must compute one fill the scratch matrix. The
-                // lent reference is stable within the epoch, so it is
-                // re-borrowed wherever the estimate is read.
-                let have_ref = st.estimator.estimate_ref(now, st.cfg.epoch).is_some();
-                if !have_ref {
-                    st.estimator
-                        .estimate_into(now, st.cfg.epoch, &mut st.demand_scratch);
-                }
-                // Demand-error sampling. The ground-truth backlog (the
-                // EpochSample observable) is always available cheaply —
-                // incrementally in fast mode, an O(n) host sum in slow
-                // mode. The mirror's error is identically zero by
-                // construction (every occupancy change produced a
-                // request), and the non-mirror ground-truth snapshot +
-                // L1 pass (two n² walks) runs only when the epoch probe
-                // wants the sample — the lean profile declines it.
-                let truth_total: u64 = if st.is_hw {
-                    st.proc.total_bytes()
-                } else {
-                    st.hosts.iter().map(|h| h.voq_total).sum()
-                };
-                let mut demand_err_rel: Option<f64> = None;
-                if st.estimator_is_mirror {
-                    if truth_total > 0 {
-                        demand_err_rel = Some(0.0);
-                    }
-                } else if st.want_demand_error {
-                    if st.is_hw {
-                        st.proc.occupancy_into(&mut st.truth_scratch);
-                    } else {
-                        st.host_occupancy_into_scratch();
-                    }
-                    let estimate = match st.estimator.estimate_ref(now, st.cfg.epoch) {
-                        Some(m) => m,
-                        None => &st.demand_scratch,
-                    };
-                    let (err_l1, tt) = estimate.error_vs(&st.truth_scratch);
-                    debug_assert_eq!(tt, truth_total, "snapshot disagrees with running total");
-                    if truth_total > 0 {
-                        demand_err_rel = Some(err_l1 as f64 / truth_total as f64);
-                    }
-                }
-                let ctx = ScheduleCtx {
-                    now,
-                    line_rate: st.cfg.line_rate,
-                    reconfig: st.cfg.reconfig,
-                    epoch: st.cfg.epoch,
-                    max_entries: st.cfg.max_entries,
-                };
-                let demand = match st.estimator.estimate_ref(now, st.cfg.epoch) {
-                    Some(m) => m,
-                    None => &st.demand_scratch,
-                };
-                // Graceful degradation: while ports are dark to injected
-                // faults, the scheduler sees their rows/columns zeroed —
-                // it never plans circuits through a dead link.
-                let demand = match &mut st.faults {
-                    Some(fs) if fs.n_failed > 0 => fs.mask_demand(demand),
-                    _ => demand,
-                };
-                // xlint: allow(wall-clock) — phase-timing block boundary (estimate → decompose), never serialized into goldens
-                let phase_t1 = std::time::Instant::now();
-                st.phases.estimate += phase_t1.duration_since(phase_t0).as_nanos() as u64;
-                let sched = st.scheduler.schedule(demand, &ctx);
-                // This `Instant::now` was previously hidden inside
-                // `elapsed()`: naming it costs nothing and doubles as the
-                // decompose span's end when the recorder is on.
-                // xlint: allow(wall-clock) — phase-timing block boundary (decompose end), never serialized into goldens
-                let phase_t2 = std::time::Instant::now();
-                st.phases.decompose += phase_t2.duration_since(phase_t1).as_nanos() as u64;
-                if let Some(obs) = st.scheduler.take_obs() {
-                    st.counters.sched_memo_hits += obs.memo_hits;
-                    st.counters.sched_hk_runs += obs.hk_runs;
-                    st.counters.sched_probes += obs.probes;
-                    st.counters.sched_worklist_peak =
-                        st.counters.sched_worklist_peak.max(obs.worklist_len);
-                    st.counters.sched_bucket_peak =
-                        st.counters.sched_bucket_peak.max(obs.buckets_len);
-                    if let Some(tr) = &mut st.trace {
-                        for s in &obs.spans {
-                            tr.span_between("sched", s.name, s.start, s.end, &[s.arg]);
-                        }
-                    }
-                }
-                if let Some(tr) = &mut st.trace {
-                    // The epoch span and its two phase children reuse the
-                    // phase-accounting instants read above — tracing adds
-                    // no clock reads here, on or off.
-                    tr.span_between(
-                        "epoch",
-                        "epoch",
-                        phase_t0,
-                        phase_t2,
-                        &[("epoch", st.decisions)],
-                    );
-                    tr.span_between("epoch", "estimate", phase_t0, phase_t1, &[]);
-                    tr.span_between(
-                        "epoch",
-                        "decompose",
-                        phase_t1,
-                        phase_t2,
-                        &[("entries", sched.entries.len() as u64)],
-                    );
-                }
-                debug_assert!(
-                    sched.validate(&ctx, st.cfg.n_ports).is_ok(),
-                    "{} produced an invalid schedule",
-                    st.scheduler.name()
-                );
-                let mut d = st
-                    .cfg
-                    .placement
-                    .decision_latency(st.cfg.n_ports, &mut st.rng);
-                // Scheduler stall: the decision arrives k epochs late and
-                // the fabric coasts on the previous schedule meanwhile.
-                if let Some(fs) = &mut st.faults {
-                    if let Some(extra) = fs.draw_stall(st.cfg.epoch) {
-                        d += extra;
-                        st.counters.fault_events_injected += 1;
-                    }
-                }
-                st.decisions += 1;
-                st.decision_ns_sum += d.as_nanos() as u128;
-                st.epoch_probe.on_epoch(&EpochSample {
-                    // One sample per decision: `decisions` was just
-                    // incremented, so the zero-based epoch id is one
-                    // source of truth, not a second counter.
-                    epoch: st.decisions - 1,
-                    at: now,
-                    demand_err_rel,
-                    backlog_bytes: truth_total,
-                    decision_ns: d.as_nanos(),
-                    ocs_dark_ns: st.switching.ocs.stats().dark_time.as_nanos(),
-                    entries: sched.entries.len(),
-                });
-                if !sched.entries.is_empty() {
-                    let sid = st.alloc_sched(sched);
-                    q.schedule_at(now + d, Ev::ApplySchedule { sid });
-                }
-                let next = now + st.cfg.epoch.max(d);
-                if next <= st.horizon {
-                    q.schedule_at(next, Ev::EpochStart);
-                }
-            }
-
-            Ev::ApplySchedule { sid } => {
-                q.schedule_at(now, Ev::SlotConfigure { sid, idx: 0 });
-            }
-
-            Ev::SlotConfigure { sid, idx } => {
-                // Reconfiguration misfire: the configure may apply late
-                // (the dark window stretches) or not at all (the stale
-                // permutation stays up for the whole slot).
-                let slot_fault = match &mut st.faults {
-                    Some(fs) => fs.draw_misfire(),
-                    None => SlotFault::None,
-                };
-                if slot_fault != SlotFault::None {
-                    st.counters.fault_events_injected += 1;
-                }
-                if slot_fault == SlotFault::Stale {
-                    st.faults
-                        .as_mut()
-                        .expect("stale draw implies a plan")
-                        .mark_stale(sid, idx);
-                }
-                let entry = &st.scheds[sid].as_ref().expect("schedule slot live").entries[idx];
-                let active_at = match slot_fault {
-                    SlotFault::None => st.switching.configure(&entry.perm, now),
-                    SlotFault::Late(extra) => st.switching.configure(&entry.perm, now + extra),
-                    // No configure happened: the slot "activates" on the
-                    // nominal timeline, against the stale permutation.
-                    SlotFault::Stale => now + st.cfg.reconfig,
-                };
-                let slot_end = active_at + entry.slot;
-                if !st.is_hw && slot_fault != SlotFault::Stale {
-                    // Grants travel the control channel to the hosts. The
-                    // advertised window is shrunk by the guard band on
-                    // both edges so a host whose clock is wrong by up to
-                    // `guard` still lands inside the live circuit.
-                    let g = st.cfg.guard;
-                    let gs = active_at + g;
-                    let ge = SimTime::from_nanos(slot_end.as_nanos().saturating_sub(g.as_nanos()));
-                    if ge > gs {
-                        for (i, j) in entry.perm.pairs() {
-                            q.schedule_at(
-                                now + st.ctrl_oneway,
-                                Ev::HostGrant {
-                                    host: i,
-                                    dst: j,
-                                    slot_start: gs,
-                                    slot_end: ge,
-                                },
-                            );
-                        }
-                    }
-                }
-                q.schedule_at(active_at, Ev::SlotActive { sid, idx });
-            }
-
-            Ev::SlotActive { sid, idx } => {
-                // Move the schedule out of the slab for the duration of
-                // the grant burst (record_delivery needs `&mut st`), and
-                // retire the slot after the last entry.
-                let sched = st.scheds[sid].take().expect("schedule slot live");
-                let entry = &sched.entries[idx];
-                let slot_end = now + entry.slot;
-                // A stale slot's configure never applied: every granted
-                // pair fails over. A faulted pair fails over alone.
-                let stale = match &mut st.faults {
-                    Some(fs) => fs.take_stale(sid, idx),
-                    None => false,
-                };
-                if st.is_hw {
-                    // xlint: allow(wall-clock) — apply phase-timing block start (RunReport::phases), excluded from golden serialization
-                    let phase_t0 = std::time::Instant::now();
-                    // Processing logic executes grants: budgeted dequeue,
-                    // packets serialized at line rate onto the circuit.
-                    let budget = st.cfg.line_rate.bytes_in(entry.slot);
-                    let mut granted = std::mem::take(&mut st.grant_scratch);
-                    for (i, j) in entry.perm.pairs() {
-                        granted.clear();
-                        st.proc.dequeue_upto_into(i, j, budget, &mut granted);
-                        if granted.is_empty() {
-                            continue;
-                        }
-                        // With faults armed, stall-delayed schedules can
-                        // overlap: a later schedule's configure may have
-                        // darkened or re-aimed the fabric mid-slot, so the
-                        // fault path probes the circuit where the clean
-                        // path may assert it.
-                        let diverted = stale
-                            || st.faults.as_ref().is_some_and(|fs| fs.pair_failed(i, j))
-                            || (st.faults.is_some()
-                                && st.switching.ocs.output_for(i, now) != Some(j));
-                        if diverted {
-                            // Graceful degradation: the granted burst
-                            // cannot ride the circuit (dark link or stale
-                            // permutation) — divert it onto the EPS slow
-                            // path packet by packet instead of losing it.
-                            for pkt in granted.drain(..) {
-                                let bytes = pkt.bytes as u64;
-                                if st.track_buffers {
-                                    // The bytes leave the VOQ now either
-                                    // way (EPS keeps its own ledger).
-                                    st.release_scratch.push((now.as_nanos(), bytes));
-                                }
-                                match st.switching.eps.enqueue(j, bytes, now) {
-                                    Ok(dep) => {
-                                        st.counters.fault_failover_bytes += bytes;
-                                        let deliver = dep + st.cfg.host_link.propagation;
-                                        st.record_delivery(&pkt, deliver, DeliveryPath::Eps);
-                                    }
-                                    Err(()) => st.drop_sink.on_drop(DropCause::EpsFull, now),
-                                }
-                            }
-                            continue;
-                        }
-                        // xlint: allow(wall-clock) — flight-recorder grant-burst span start, gated on trace; wall-clock stays out of goldens
-                        let burst_t0 = st.trace.is_some().then(std::time::Instant::now);
-                        let npkts = granted.len() as u64;
-                        st.counters.grant_bursts += 1;
-                        st.counters.grant_pkts_max = st.counters.grant_pkts_max.max(npkts);
-                        // One circuit validation per burst (identical
-                        // accounting to per-packet transmits).
-                        let total: u64 = granted.iter().map(|p| p.bytes as u64).sum();
-                        st.switching
-                            .ocs
-                            .transmit_batch(i, j, total, npkts, now)
-                            .expect("granted circuit must be live");
-                        let mut cursor = now;
-                        for pkt in granted.drain(..) {
-                            let bytes = pkt.bytes as u64;
-                            let dep = cursor + st.line_tx.tx_time(bytes);
-                            cursor = dep;
-                            if st.track_buffers {
-                                st.release_scratch.push((dep.as_nanos(), bytes));
-                            }
-                            let deliver = dep + st.cfg.host_link.propagation;
-                            st.record_delivery(&pkt, deliver, DeliveryPath::Ocs);
-                        }
-                        if let (Some(t0), Some(tr)) = (burst_t0, &mut st.trace) {
-                            tr.span_between(
-                                "slot",
-                                "grant_burst",
-                                t0,
-                                // xlint: allow(wall-clock) — flight-recorder span end, trace-gated
-                                std::time::Instant::now(),
-                                &[("pkts", npkts)],
-                            );
-                        }
-                    }
-                    // All pairs drained the same slot: flush their
-                    // releases as one timestamp-coalesced batch, and the
-                    // slot's deliveries as one sink batch.
-                    if st.track_buffers {
-                        let mut releases = std::mem::take(&mut st.release_scratch);
-                        st.buffers.on_dequeue_at_batch(Site::Switch, &mut releases);
-                        st.release_scratch = releases;
-                    }
-                    st.flush_deliveries();
-                    st.grant_scratch = granted;
-                    // xlint: allow(wall-clock) — apply phase-timing block end (RunReport::phases), excluded from golden serialization
-                    let phase_t1 = std::time::Instant::now();
-                    st.phases.apply += phase_t1.duration_since(phase_t0).as_nanos() as u64;
-                    if let Some(tr) = &mut st.trace {
-                        // Reuses the apply-phase instants: the slot span
-                        // nests the grant-burst spans recorded above.
-                        tr.span_between(
-                            "epoch",
-                            "apply",
-                            phase_t0,
-                            phase_t1,
-                            &[("entry", idx as u64)],
-                        );
-                    }
-                }
-                if idx + 1 < sched.entries.len() {
-                    st.scheds[sid] = Some(sched);
-                    q.schedule_at(slot_end, Ev::SlotConfigure { sid, idx: idx + 1 });
-                } else {
-                    st.free_scheds.push(sid);
-                }
-            }
-
-            Ev::HostGrant {
-                host,
-                dst,
-                slot_start,
-                slot_end,
-            } => {
-                // The host obeys its own clock: a skewed host mistimes the
-                // window (§2's synchronization argument).
-                let (start_seen, end_seen) = {
-                    let h = &st.hosts[host];
-                    (h.actual_time(slot_start), h.actual_time(slot_end))
-                };
-                let h = &mut st.hosts[host];
-                let pool = &mut st.host_pool;
-                let mut cursor = now.max(start_seen).max(h.nic_busy_until);
-                let link = st.cfg.host_link;
-                while let Some(front) = pool.front(&h.voq[dst]) {
-                    let bytes = front.bytes as u64;
-                    let tx = st.host_tx.tx_time(bytes);
-                    if cursor + tx > end_seen {
-                        break;
-                    }
-                    let pkt = pool.pop(&mut h.voq[dst]).expect("peeked");
-                    let dep = cursor + tx;
-                    cursor = dep;
-                    h.voq_bytes[dst] -= bytes;
-                    h.voq_total -= bytes;
-                    h.voq_dirty[dst] = true;
-                    if st.track_buffers {
-                        st.buffers.on_dequeue_at(Site::Host, bytes, dep);
-                    }
-                    q.schedule_at(dep + link.propagation, Ev::OcsIn { pkt });
-                }
-                h.nic_busy_until = h.nic_busy_until.max(cursor);
-            }
-
-            Ev::RotateMatrix { idx } => {
-                if let (Some(cycle), Some(g)) = (&st.matrix_cycle, &mut st.flowgen) {
-                    g.set_matrix(cycle.matrices[idx % cycle.matrices.len()].clone());
-                    let next = now + cycle.period;
-                    if next <= st.horizon {
-                        q.schedule_at(next, Ev::RotateMatrix { idx: idx + 1 });
-                    }
-                }
-            }
-
-            Ev::OcsIn { pkt } => {
-                let (i, j, bytes) = (pkt.src.index(), pkt.dst.index(), pkt.bytes as u64);
-                if st.faults.as_ref().is_some_and(|fs| fs.pair_failed(i, j)) {
-                    // The link died while the packet was in flight: the
-                    // light went into a dark fiber.
-                    st.drop_sink.on_drop(DropCause::LinkDark, now);
-                    return;
-                }
-                match st.switching.ocs.transmit(i, j, bytes, now) {
-                    Ok(()) => {
-                        let deliver = now + st.cfg.host_link.propagation;
-                        st.record_delivery(&pkt, deliver, DeliveryPath::Ocs);
-                        st.flush_deliveries();
-                    }
-                    Err(_) => {
-                        // Dark window or re-assigned circuit: the light
-                        // went nowhere useful.
-                        st.drop_sink.on_drop(DropCause::SyncViolation, now);
-                    }
-                }
-            }
-
-            Ev::LinkFault => {
-                let fs = st.faults.as_mut().expect("LinkFault implies a plan");
-                let (port, repair_at, next) = fs.on_link_fault(now);
-                if let Some(at) = repair_at {
-                    st.counters.fault_events_injected += 1;
-                    q.schedule_at(at, Ev::LinkRepair { port });
-                }
-                if let Some(at) = next {
-                    if at <= st.horizon {
-                        q.schedule_at(at, Ev::LinkFault);
-                    }
-                }
-            }
-
-            Ev::LinkRepair { port } => {
-                st.faults
-                    .as_mut()
-                    .expect("LinkRepair implies a plan")
-                    .on_link_repair(port, now);
-            }
+            counters: self.counters,
+            chrome_trace: self.trace.map(|t| t.to_chrome_json()),
+            measured_deliveries: self.want_deliveries,
+            measured_buffers: self.track_buffers,
         }
     }
 }
@@ -1571,7 +1752,7 @@ mod tests {
     use xds_hw::{HwAlgo, HwSchedulerModel, SwSchedulerModel};
     use xds_net::PortNo;
     use xds_sim::BitRate;
-    use xds_traffic::{CbrApp, FlowGenerator, FlowSizeDist, TrafficMatrix};
+    use xds_traffic::{packet_sizes, CbrApp, FlowGenerator, FlowSizeDist, TrafficMatrix};
 
     /// Test shorthand over [`SimBuilder`] (the positional shape the old
     /// constructor had).

@@ -1,19 +1,22 @@
 //! Sharded parallel simulation core: the fabric splits into K port
 //! groups, each owning its hosts, VOQ bank rows, packet pool and event
-//! queue. Intra-shard work (NIC pumps, switch-ingress classification,
-//! slow-mode grant transmission) runs independently per shard between
-//! *barriers* — the coordinator's own events (epochs, slot activations,
-//! app sends, matrix rotations), which own cross-shard state: the
-//! scheduler, the OCS/EPS, the instrumentation sinks and the buffer
-//! tracker.
+//! queue. Intra-shard work (flow injection, NIC pumps, switch-ingress
+//! classification, slow-mode grant transmission) runs independently per
+//! shard between *barriers* — the coordinator's own events (epochs, slot
+//! activations, app sends, matrix rotations, faults). There is one
+//! coordinator: the same [`Coord::handle`] the classic loop runs, here
+//! driving the [`Shards`] fabric instead of the classic [`Ports`]. The
+//! two cores differ only in their fabric — where hosts and VOQs live and
+//! how port-side events are queued.
 //!
 //! # Determinism contract
 //!
 //! The sharded core is defined by equivalence, not by approximation:
 //!
-//! * **K = 1 is not this code.** A build without shards runs the classic
-//!   single-queue loop in [`super::HybridSim::run`], byte-identical to
-//!   every prior release (golden traces hold without regeneration).
+//! * **K = 1 is not this fabric.** A build without shards runs the
+//!   classic single-queue loop in [`super::HybridSim::run`],
+//!   byte-identical to every prior release (golden traces hold without
+//!   regeneration).
 //! * **K > 1 reproduces K = 1** on events, delivered bytes, offered
 //!   bytes, decisions, drops and the scheduler-/grant-path counters, for
 //!   any shard map. Three mechanisms make that exact rather than lucky:
@@ -38,7 +41,9 @@
 //!      event would do to shared state — an EPS arrival, a slow-mode
 //!      circuit arrival, a drop, a buffer-tracker op — is buffered as a
 //!      `(time, shard, seq)`-stamped item and replayed in that canonical
-//!      order at the barrier. OCS and EPS state only changes at
+//!      order at the barrier, through the same coordinator methods the
+//!      classic loop calls inline ([`Coord::eps_arrival`],
+//!      [`Coord::ocs_arrival`]). OCS and EPS state only changes at
 //!      coordinator events, so deferred replay is exact.
 //!   3. *Requests merge in global `(src, dst)` order* — the same order a
 //!      full-fabric row-major scan produces — so the estimator, the
@@ -159,12 +164,7 @@ enum SEv {
     SwitchIn {
         pkt: Packet,
     },
-    HostGrant {
-        host: usize,
-        dst: usize,
-        slot_start: SimTime,
-        slot_end: SimTime,
-    },
+    HostGrant(Grant),
     OcsIn {
         pkt: Packet,
     },
@@ -189,13 +189,6 @@ enum ShipKind {
     },
 }
 
-#[derive(Debug)]
-struct Ship {
-    t: SimTime,
-    seq: u64,
-    kind: ShipKind,
-}
-
 /// One port group: its hosts, pool, VOQ rows and event queue.
 struct Shard {
     id: usize,
@@ -216,8 +209,7 @@ struct Shard {
     /// Scratch for draining a same-instant batch in `run_window`.
     batch: Vec<(SimTime, SEv)>,
     host_tx: TxTimeCache,
-    req_scratch: Vec<SchedRequest>,
-    // Immutable per-run configuration copies (kept off `SimState` so a
+    // Immutable per-run configuration copies (kept off `Coord` so a
     // window borrows nothing shared).
     is_hw: bool,
     gate_interactive: bool,
@@ -227,17 +219,13 @@ struct Shard {
     // Accounting.
     next_pkt_id: u64,
     pops: u64,
-    ship: Vec<Ship>,
+    /// Side effects shipped this window, in emission order.
+    ship: Vec<(SimTime, ShipKind)>,
 }
 
 impl Shard {
     fn gated(&self, class: TrafficClass) -> bool {
         class == TrafficClass::Bulk || (self.gate_interactive && class == TrafficClass::Interactive)
-    }
-
-    fn ship(&mut self, t: SimTime, kind: ShipKind) {
-        let seq = self.ship.len() as u64;
-        self.ship.push(Ship { t, seq, kind });
     }
 
     fn host_mut(&mut self, global: usize) -> &mut Host {
@@ -253,11 +241,7 @@ impl Shard {
     /// `at_least` is the caller's current time — it doubles as the new
     /// event's scheduling stamp.
     fn ensure_pump(&mut self, at_least: SimTime, host: usize) {
-        let li = self.local[host] as usize;
-        let h = &mut self.hosts[li];
-        if !h.pump_active {
-            h.pump_active = true;
-            let at = at_least.max(h.nic_busy_until);
+        if let Some(at) = self.host_mut(host).wake_pump(at_least) {
             self.queue.schedule_at(at, (at_least, SEv::Pump { host }));
         }
     }
@@ -339,11 +323,10 @@ impl Shard {
 
     fn handle(&mut self, now: SimTime, ev: SEv) {
         match ev {
-            // Mirrors `SimState::inject_flow`; flow-start notification
-            // and offered-byte accounting already happened coordinator-
-            // side at pre-generation. The flow's packet ids are reserved
-            // here, at injection, whether its packets materialize now or
-            // are cut by the NIC later.
+            // The flow-start notification and offered-byte accounting
+            // already happened coordinator-side at pre-generation. The
+            // flow's packet ids are reserved here, at injection, whether
+            // its packets materialize now or are cut by the NIC later.
             SEv::Inject { flow: f } => {
                 let host = f.src.index();
                 // Ids are namespaced per shard (unobservable in any
@@ -351,48 +334,41 @@ impl Shard {
                 let id_base = ((self.id as u64 + 1) << 48) | self.next_pkt_id;
                 let rec = StagedFlow::flow(&f, id_base, now, self.mtu);
                 self.next_pkt_id += rec.pkts_left as u64;
-                if self.gated(f.class) && !self.is_hw {
+                let held = self.gated(f.class) && !self.is_hw;
+                let h = &mut self.hosts[self.local[host] as usize];
+                if held {
                     // Slow mode: gated bytes feed scheduler requests at
                     // injection, so they materialize into host VOQs.
-                    let li = self.local[host] as usize;
-                    let d = f.dst.index();
                     for pkt in rec {
-                        let size = pkt.bytes as u64;
-                        let h = &mut self.hosts[li];
-                        self.pool.push(&mut h.voq[d], pkt);
-                        h.voq_bytes[d] += size;
-                        h.voq_total += size;
-                        h.voq_arrived[d] += size;
-                        h.voq_dirty[d] = true;
+                        let bytes = pkt.bytes as u64;
+                        h.hold(&mut self.pool, pkt);
                         if self.track_buffers {
-                            self.ship(
-                                now,
-                                ShipKind::BufEnqueue {
-                                    site: Site::Host,
-                                    bytes: size,
-                                },
-                            );
+                            let enqueue = ShipKind::BufEnqueue {
+                                site: Site::Host,
+                                bytes,
+                            };
+                            self.ship.push((now, enqueue));
                         }
                     }
                 } else {
-                    self.host_mut(host).stage(rec);
+                    h.stage(rec);
                 }
                 self.ensure_pump(now, host);
             }
 
             SEv::Pump { host } => {
-                let nic_busy = self.host_mut(host).nic_busy_until;
-                if now < nic_busy {
-                    self.queue.schedule_at(nic_busy, (now, SEv::Pump { host }));
+                let h = &mut self.hosts[self.local[host] as usize];
+                if now < h.nic_busy_until {
+                    let at = h.nic_busy_until;
+                    self.queue.schedule_at(at, (now, SEv::Pump { host }));
                     return;
                 }
-                let li = self.local[host] as usize;
-                let Some(pkt) = self.hosts[li].cut_staged() else {
-                    self.hosts[li].pump_active = false;
+                let Some(pkt) = h.cut_staged() else {
+                    h.pump_active = false;
                     return;
                 };
                 let tx = self.host_tx.tx_time(pkt.bytes as u64);
-                self.hosts[li].nic_busy_until = now + tx;
+                h.nic_busy_until = now + tx;
                 self.queue
                     .schedule_at(now + tx + self.prop, (now, SEv::SwitchIn { pkt }));
                 self.queue.schedule_at(now + tx, (now, SEv::Pump { host }));
@@ -405,157 +381,236 @@ impl Shard {
                     match self.proc.enqueue(pkt) {
                         Ok(()) => {
                             if self.track_buffers {
-                                self.ship(
-                                    now,
-                                    ShipKind::BufEnqueue {
-                                        site: Site::Switch,
-                                        bytes,
-                                    },
-                                );
+                                let enqueue = ShipKind::BufEnqueue {
+                                    site: Site::Switch,
+                                    bytes,
+                                };
+                                self.ship.push((now, enqueue));
                             }
                         }
-                        Err(_) => self.ship(now, ShipKind::Drop(DropCause::VoqFull)),
+                        Err(_) => self.ship.push((now, ShipKind::Drop(DropCause::VoqFull))),
                     }
                 } else {
                     // EPS admission reads shared switch state: defer.
-                    self.ship(now, ShipKind::Eps(pkt));
+                    self.ship.push((now, ShipKind::Eps(pkt)));
                 }
             }
 
-            SEv::HostGrant {
-                host,
-                dst,
-                slot_start,
-                slot_end,
-            } => {
-                let li = self.local[host] as usize;
-                let (start_seen, end_seen) = {
-                    let h = &self.hosts[li];
-                    (h.actual_time(slot_start), h.actual_time(slot_end))
-                };
-                let mut cursor = now.max(start_seen).max(self.hosts[li].nic_busy_until);
-                while let Some(front) = self.pool.front(&self.hosts[li].voq[dst]) {
-                    let bytes = front.bytes as u64;
-                    let tx = self.host_tx.tx_time(bytes);
-                    if cursor + tx > end_seen {
-                        break;
-                    }
-                    let pkt = self.pool.pop(&mut self.hosts[li].voq[dst]).expect("peeked");
-                    let dep = cursor + tx;
-                    cursor = dep;
-                    let h = &mut self.hosts[li];
-                    h.voq_bytes[dst] -= bytes;
-                    h.voq_total -= bytes;
-                    h.voq_dirty[dst] = true;
-                    if self.track_buffers {
-                        self.ship(
+            SEv::HostGrant(g) => {
+                let (ship, queue) = (&mut self.ship, &mut self.queue);
+                let (prop, track) = (self.prop, self.track_buffers);
+                let h = &mut self.hosts[self.local[g.host] as usize];
+                h.send_granted(&mut self.pool, &mut self.host_tx, now, g, |pkt, dep| {
+                    if track {
+                        ship.push((
                             now,
                             ShipKind::BufRelease {
                                 site: Site::Host,
-                                bytes,
+                                bytes: pkt.bytes as u64,
                                 release: dep,
                             },
-                        );
+                        ));
                     }
-                    self.queue
-                        .schedule_at(dep + self.prop, (now, SEv::OcsIn { pkt }));
-                }
-                let h = &mut self.hosts[li];
-                h.nic_busy_until = h.nic_busy_until.max(cursor);
+                    queue.schedule_at(dep + prop, (now, SEv::OcsIn { pkt }));
+                });
             }
 
             SEv::OcsIn { pkt } => {
                 // Circuit validation reads shared OCS state: defer.
-                self.ship(now, ShipKind::OcsArrival(pkt));
+                self.ship.push((now, ShipKind::OcsArrival(pkt)));
             }
         }
     }
 }
 
-/// Runs the sharded core. Entered from [`HybridSim::run`] when the
-/// build carries a shard map with `k > 1`.
-pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime, map: ShardMap) -> RunReport {
-    let exec = sim.shard_exec;
-    let HybridSim { mut state, .. } = sim;
-    state.horizon = horizon;
-    let n = state.cfg.n_ports;
-    assert_eq!(map.ports(), n, "shard map port-space mismatch");
+/// The sharded fabric: K port groups plus the map that routes a port to
+/// its group. Between windows the coordinator owns every shard, so its
+/// operations reach into them directly.
+struct Shards {
+    shards: Vec<Shard>,
+    map: ShardMap,
+}
+
+impl Shards {
+    /// Partitions the built hosts (clock offsets were drawn in global
+    /// port order at build, exactly as for the classic fabric) into the
+    /// map's shards.
+    fn new(co: &Coord, hosts: Vec<Host>, map: ShardMap) -> Self {
+        let n = co.cfg.n_ports;
+        assert_eq!(map.ports(), n, "shard map port-space mismatch");
+        let mut host_slots: Vec<Option<Host>> = hosts.into_iter().map(Some).collect();
+        let shards = (0..map.k())
+            .map(|s| {
+                let ports = map.rows_of(s);
+                let mut local = vec![u32::MAX; n];
+                for (li, &p) in ports.iter().enumerate() {
+                    local[p] = li as u32;
+                }
+                let hosts = ports
+                    .iter()
+                    .map(|&p| host_slots[p].take().expect("port owned once"))
+                    .collect();
+                Shard {
+                    id: s,
+                    local,
+                    hosts,
+                    pool: PacketPool::new(),
+                    proc: ProcessingLogic::with_rows(n, co.cfg.voq_capacity, ports.clone()),
+                    ports,
+                    queue: EventQueue::new(),
+                    batch: Vec::new(),
+                    host_tx: co.cfg.host_link.rate.tx_cache(),
+                    is_hw: co.is_hw,
+                    gate_interactive: co.cfg.voip_on_ocs,
+                    mtu: co.cfg.mtu,
+                    prop: co.cfg.host_link.propagation,
+                    track_buffers: co.track_buffers,
+                    next_pkt_id: 0,
+                    pops: 0,
+                    ship: Vec::new(),
+                }
+            })
+            .collect();
+        Shards { shards, map }
+    }
+
+    fn owner(&mut self, port: usize) -> &mut Shard {
+        &mut self.shards[self.map.shard_of(port)]
+    }
+}
+
+impl Fabric for Shards {
+    /// Payloads carry the event's scheduling stamp, like the shard
+    /// queues'.
+    type Queue = EventQueue<(SimTime, CoordEv)>;
+
+    fn post(q: &mut Self::Queue, at: SimTime, now: SimTime, ev: CoordEv) {
+        q.schedule_at(at, (now, ev));
+    }
+
+    fn audit_epoch(&self) {
+        for s in &self.shards {
+            s.pool.debug_assert_conserved();
+        }
+    }
+
+    fn requests_into(&mut self, hw: bool, now: SimTime, out: &mut Vec<SchedRequest>) {
+        out.clear();
+        for s in &mut self.shards {
+            if hw {
+                s.proc.take_requests_into(now, out);
+            } else {
+                for (h, &src) in s.hosts.iter_mut().zip(&s.ports) {
+                    h.take_requests(src, now, out);
+                }
+            }
+        }
+        // Each shard's requests are in order; the merge restores the
+        // global `(src, dst)` order of a full-fabric scan.
+        out.sort_unstable_by_key(|r| (r.src, r.dst));
+    }
+
+    fn backlog(&self, hw: bool) -> u64 {
+        let shard_total = |s: &Shard| -> u64 {
+            if hw {
+                s.proc.total_bytes()
+            } else {
+                s.hosts.iter().map(|h| h.voq_total).sum()
+            }
+        };
+        self.shards.iter().map(shard_total).sum()
+    }
+
+    fn occupancy_into(&self, hw: bool, out: &mut DemandMatrix) {
+        for s in &self.shards {
+            if hw {
+                s.proc.occupancy_rows_into(out);
+            } else {
+                for (h, &src) in s.hosts.iter().zip(&s.ports) {
+                    h.occupancy_row_into(src, out);
+                }
+            }
+        }
+    }
+
+    fn dequeue_upto_into(&mut self, i: usize, j: usize, budget: u64, out: &mut Vec<Packet>) {
+        self.owner(i).proc.dequeue_upto_into(i, j, budget, out);
+    }
+
+    fn send_grant(&mut self, _q: &mut Self::Queue, at: SimTime, now: SimTime, g: Grant) {
+        // Grants fan out to each source's owning shard.
+        self.owner(g.host)
+            .queue
+            .schedule_at(at, (now, SEv::HostGrant(g)));
+    }
+
+    fn hold_at_host(&mut self, pkt: Packet) {
+        let s = self.owner(pkt.src.index());
+        let li = s.local[pkt.src.index()] as usize;
+        s.hosts[li].hold(&mut s.pool, pkt);
+    }
+
+    fn stage_app(&mut self, _q: &mut Self::Queue, now: SimTime, rec: StagedFlow) {
+        let host = rec.src.index();
+        let s = self.owner(host);
+        s.host_mut(host).stage(rec);
+        s.ensure_pump(now, host);
+    }
+
+    fn finish(&self, counters: &mut CounterSet) {
+        // Merge each shard's ledger set with kind-aware semantics:
+        // tallies sum, peaks max.
+        for s in &self.shards {
+            let (allocs, frees, peak, growths) = s.proc.pool_ledger();
+            counters.merge(&CounterSet {
+                queue_spreads: s.queue.spread_count(),
+                queue_spills: s.queue.spill_count(),
+                queue_direct_sorts: s.queue.direct_sort_count(),
+                pool_allocs: s.pool.alloc_count() + allocs,
+                pool_frees: s.pool.free_count() + frees,
+                // Same composition as the classic fabric's formula, per
+                // shard: host-pool peak + VOQ-bank peak. Across shards
+                // the merge takes the max — the documented peak semantic.
+                pool_live_peak: s.pool.live_peak() + peak,
+                pool_chunk_growths: s.pool.chunk_growth_count() + growths,
+                ..Default::default()
+            });
+            if let Err(e) = s.pool.check_conserved() {
+                panic!("end-of-run shard {} host pool audit failed: {e}", s.id);
+            }
+            if let Err(e) = s.proc.check_pool_conserved() {
+                panic!("end-of-run shard {} switch pool audit failed: {e}", s.id);
+            }
+        }
+    }
+}
+
+/// Runs the sharded core to the coordinator's horizon. Entered from
+/// [`HybridSim::run`] when the build carries a shard map with `k > 1`.
+pub(super) fn run_sharded(
+    mut co: Coord,
+    hosts: Vec<Host>,
+    map: ShardMap,
+    exec: ShardExec,
+) -> RunReport {
+    let horizon = co.horizon;
     let threaded = match exec {
         ShardExec::Inline => false,
         ShardExec::Threads => true,
         ShardExec::Auto => std::thread::available_parallelism().is_ok_and(|p| p.get() > 1),
     };
+    let mut fab = Shards::new(&co, hosts, map);
 
-    // Partition the built hosts (clock offsets were drawn in global port
-    // order at build, exactly as in the classic path) into shards.
-    let mut host_slots: Vec<Option<Host>> = state.hosts.drain(..).map(Some).collect();
-    let mut shards: Vec<Shard> = (0..map.k())
-        .map(|s| {
-            let ports = map.rows_of(s);
-            let mut local = vec![u32::MAX; n];
-            for (li, &p) in ports.iter().enumerate() {
-                local[p] = li as u32;
-            }
-            let hosts = ports
-                .iter()
-                .map(|&p| host_slots[p].take().expect("port owned once"))
-                .collect();
-            Shard {
-                id: s,
-                local,
-                hosts,
-                pool: PacketPool::new(),
-                proc: ProcessingLogic::with_rows(n, state.cfg.voq_capacity, ports.clone()),
-                ports,
-                queue: EventQueue::new(),
-                batch: Vec::new(),
-                host_tx: state.cfg.host_link.rate.tx_cache(),
-                req_scratch: Vec::new(),
-                is_hw: state.is_hw,
-                gate_interactive: state.cfg.voip_on_ocs,
-                mtu: state.cfg.mtu,
-                prop: state.cfg.host_link.propagation,
-                track_buffers: state.track_buffers,
-                next_pkt_id: 0,
-                pops: 0,
-                ship: Vec::new(),
-            }
-        })
-        .collect();
-
-    // Seed the coordinator queue exactly like the classic path, except
+    // Seed the coordinator queue exactly like the classic loop, except
     // flows are pre-generated at barriers instead of chained through
     // `Ev::NextFlow` (the generator's draw order is preserved — one draw
-    // ahead, next draw on injection). Like the shard queues, payloads
-    // carry the event's scheduling stamp (`ZERO` for the seeds, which
-    // matches the classic path scheduling them before the first pop).
-    let mut cq: EventQueue<(SimTime, Ev)> = EventQueue::new();
-    if let Some(g) = &mut state.flowgen {
-        let f = g.next_flow();
-        if f.start <= state.flow_stop {
-            state.pending_flow = Some(f);
-        }
-    }
-    for (i, a) in state.apps.iter().enumerate() {
-        cq.schedule_at(a.start, (SimTime::ZERO, Ev::AppSend { app: i }));
-    }
-    if let Some(cycle) = &state.matrix_cycle {
-        cq.schedule_at(
-            SimTime::ZERO + cycle.period,
-            (SimTime::ZERO, Ev::RotateMatrix { idx: 1 }),
-        );
-    }
-    cq.schedule_at(SimTime::ZERO, (SimTime::ZERO, Ev::EpochStart));
-    // Fault chain, exactly as the classic path seeds it. Fault events
-    // are coordinator events, so every draw happens at a barrier in the
-    // same order regardless of the shard map.
-    if let Some(fs) = &mut state.faults {
-        if let Some(at) = fs.first_fault_at() {
-            cq.schedule_at(at, (SimTime::ZERO, Ev::LinkFault));
-        }
-    }
+    // ahead, next draw on injection). Seeds carry the stamp `ZERO`, which
+    // matches the classic loop scheduling them before the first pop.
+    let mut cq: EventQueue<(SimTime, CoordEv)> = EventQueue::new();
+    co.draw_first_flow();
+    co.seed::<Shards>(&mut cq);
 
-    let mut coord_pops: u64 = 0;
+    let mut events: u64 = 0;
     let mut end_time = SimTime::ZERO;
     // The generator's "seed" draw predates every seeded event; stamps
     // appear once the chain starts (each draw happens as its predecessor
@@ -567,63 +622,24 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime, map: ShardMap) -> Ru
         // scheduling stamp, and the queue has no payload peek. Windows
         // never schedule onto the coordinator queue, so nothing can
         // preempt an already-popped event.
-        let coord = match cq.peek_time() {
+        let next = match cq.peek_time() {
             Some(t) if t <= horizon => cq.pop(),
             _ => None,
         };
-        let limit = coord.as_ref().map(|(t, (s, _))| (*t, *s));
-        pregen_flows(&mut state, &mut shards, &map, limit, &mut pending_sched);
-        run_windows(&mut shards, limit, horizon, threaded);
-        replay_ships(&mut state, &mut shards, &mut replay_buf);
-        let Some((now, (_, ev))) = coord else { break };
-        coord_pops += 1;
+        let limit = next.as_ref().map(|(t, (s, _))| (*t, *s));
+        pregen_flows(&mut co, &mut fab, limit, &mut pending_sched);
+        run_windows(&mut fab.shards, limit, horizon, threaded);
+        replay_ships(&mut co, &mut fab.shards, &mut replay_buf);
+        let Some((now, (_, ev))) = next else { break };
+        events += 1;
         end_time = end_time.max(now);
-        handle_coord(&mut state, &mut shards, &map, &mut cq, now, ev);
+        co.handle(&mut fab, &mut cq, now, ev);
     }
-    for s in &shards {
+    for s in &fab.shards {
+        events += s.pops;
         end_time = end_time.max(s.queue.now());
     }
-
-    // Fold the coordinator's structural ledgers (the classic formulas —
-    // the builder's full-fabric pool and bank are inert husks here),
-    // then merge each shard's ledger set with kind-aware semantics:
-    // tallies sum, peaks max.
-    let mut st = state;
-    st.counters.queue_spreads = cq.spread_count();
-    st.counters.queue_spills = cq.spill_count();
-    st.counters.queue_direct_sorts = cq.direct_sort_count();
-    let (p_allocs, p_frees, p_peak, p_growths) = st.proc.pool_ledger();
-    st.counters.pool_allocs = st.host_pool.alloc_count() + p_allocs;
-    st.counters.pool_frees = st.host_pool.free_count() + p_frees;
-    st.counters.pool_live_peak = st.host_pool.live_peak() + p_peak;
-    st.counters.pool_chunk_growths = st.host_pool.chunk_growth_count() + p_growths;
-    let mut events = coord_pops;
-    for s in &shards {
-        events += s.pops;
-        let (a, f, pk, g) = s.proc.pool_ledger();
-        let c = CounterSet {
-            queue_spreads: s.queue.spread_count(),
-            queue_spills: s.queue.spill_count(),
-            queue_direct_sorts: s.queue.direct_sort_count(),
-            pool_allocs: s.pool.alloc_count() + a,
-            pool_frees: s.pool.free_count() + f,
-            // Same composition as the classic single-core formula, per
-            // shard: host-pool peak + VOQ-bank peak. Across shards the
-            // merge takes the max — the documented peak semantic.
-            pool_live_peak: s.pool.live_peak() + pk,
-            pool_chunk_growths: s.pool.chunk_growth_count() + g,
-            ..Default::default()
-        };
-        st.counters.merge(&c);
-        // Per-shard conservation audits, as strict as the classic ones.
-        if let Err(e) = s.pool.check_conserved() {
-            panic!("end-of-run shard {} host pool audit failed: {e}", s.id);
-        }
-        if let Err(e) = s.proc.check_pool_conserved() {
-            panic!("end-of-run shard {} switch pool audit failed: {e}", s.id);
-        }
-    }
-    st.into_report(events, end_time, horizon)
+    co.into_report(&fab, &cq, events, end_time)
 }
 
 /// Injects every pending flow due before `limit = (T_next, sched_coord)`
@@ -634,40 +650,36 @@ pub(super) fn run_sharded(sim: HybridSim, horizon: SimTime, map: ShardMap) -> Ru
 /// pre-loop seed draw) predates the coordinator event's stamp, which is
 /// when K = 1 would have scheduled its `Ev::NextFlow`.
 fn pregen_flows(
-    st: &mut SimState,
-    shards: &mut [Shard],
-    map: &ShardMap,
+    co: &mut Coord,
+    fab: &mut Shards,
     limit: Option<(SimTime, SimTime)>,
     pending_sched: &mut Option<SimTime>,
 ) {
     loop {
-        let Some(f) = st.pending_flow.take() else {
+        let Some(f) = co.pending_flow.take() else {
             return;
         };
         let due = match limit {
             Some((lt, ls)) => {
                 f.start < lt || (f.start == lt && pending_sched.is_none_or(|s| s < ls))
             }
-            None => f.start <= st.horizon,
+            None => f.start <= co.horizon,
         };
         if !due {
-            st.pending_flow = Some(f);
+            co.pending_flow = Some(f);
             return;
         }
-        st.offered_bytes += f.bytes;
-        st.offered_flows += 1;
-        st.delivery_sink.on_flow_started(f.id, f.bytes, f.start);
-        let s = map.shard_of(f.src.index());
+        co.offer_flow(&f, f.start);
         let start = f.start;
         let sched = pending_sched.unwrap_or(SimTime::ZERO);
-        shards[s]
+        fab.owner(f.src.index())
             .queue
             .schedule_at(start, (sched, SEv::Inject { flow: f }));
         *pending_sched = Some(start);
-        if let Some(g) = &mut st.flowgen {
+        if let Some(g) = &mut co.flowgen {
             let next = g.next_flow();
-            if next.start <= st.flow_stop && next.start <= st.horizon {
-                st.pending_flow = Some(next);
+            if next.start <= co.flow_stop && next.start <= co.horizon {
+                co.pending_flow = Some(next);
             }
         }
     }
@@ -719,477 +731,34 @@ fn run_windows(
 }
 
 /// Applies every shipped sink effect in canonical `(time, shard, seq)`
-/// order — the cross-shard merge rule that pins determinism.
+/// order — the cross-shard merge rule that pins determinism. EPS and
+/// slow-mode OCS arrivals go through the same coordinator methods the
+/// classic loop calls inline: fault flags and switch state only change
+/// at coordinator events, so the state seen here equals what K = 1 saw
+/// at `t`.
 fn replay_ships(
-    st: &mut SimState,
+    co: &mut Coord,
     shards: &mut [Shard],
     buf: &mut Vec<(SimTime, u32, u64, ShipKind)>,
 ) {
-    if shards.iter().all(|s| s.ship.is_empty()) {
-        return;
-    }
     buf.clear();
     for s in shards.iter_mut() {
         let sid = s.id as u32;
-        buf.extend(s.ship.drain(..).map(|sh| (sh.t, sid, sh.seq, sh.kind)));
+        let shipped = s.ship.drain(..).enumerate();
+        buf.extend(shipped.map(|(seq, (t, kind))| (t, sid, seq as u64, kind)));
     }
     buf.sort_unstable_by_key(|&(t, sid, seq, _)| (t, sid, seq));
     for (t, _, _, kind) in buf.drain(..) {
         match kind {
-            ShipKind::Eps(pkt) => {
-                let out = pkt.dst.index();
-                match st.switching.eps.enqueue(out, pkt.bytes as u64, t) {
-                    Ok(dep) => {
-                        let deliver = dep + st.cfg.host_link.propagation;
-                        st.record_delivery(&pkt, deliver, DeliveryPath::Eps);
-                        st.flush_deliveries();
-                    }
-                    Err(()) => st.drop_sink.on_drop(DropCause::EpsFull, t),
-                }
-            }
-            ShipKind::OcsArrival(pkt) => {
-                let (i, j, bytes) = (pkt.src.index(), pkt.dst.index(), pkt.bytes as u64);
-                if st.faults.as_ref().is_some_and(|fs| fs.pair_failed(i, j)) {
-                    // Mirrors the classic `Ev::OcsIn` fault check: fault
-                    // flags only change at coordinator events, so the
-                    // state seen here equals what K = 1 saw at `t`.
-                    st.drop_sink.on_drop(DropCause::LinkDark, t);
-                    continue;
-                }
-                match st.switching.ocs.transmit(i, j, bytes, t) {
-                    Ok(()) => {
-                        let deliver = t + st.cfg.host_link.propagation;
-                        st.record_delivery(&pkt, deliver, DeliveryPath::Ocs);
-                        st.flush_deliveries();
-                    }
-                    Err(_) => st.drop_sink.on_drop(DropCause::SyncViolation, t),
-                }
-            }
-            ShipKind::Drop(cause) => st.drop_sink.on_drop(cause, t),
-            ShipKind::BufEnqueue { site, bytes } => st.buffers.on_enqueue(site, bytes, t),
+            ShipKind::Eps(pkt) => co.eps_arrival(&pkt, t),
+            ShipKind::OcsArrival(pkt) => co.ocs_arrival(&pkt, t),
+            ShipKind::Drop(cause) => co.drop_sink.on_drop(cause, t),
+            ShipKind::BufEnqueue { site, bytes } => co.buffers.on_enqueue(site, bytes, t),
             ShipKind::BufRelease {
                 site,
                 bytes,
                 release,
-            } => st.buffers.on_dequeue_at(site, bytes, release),
-        }
-    }
-}
-
-/// Handles one coordinator event at a barrier. Each arm is the classic
-/// handler operating over shard-held state (the coordinator owns every
-/// shard between windows).
-fn handle_coord(
-    st: &mut SimState,
-    shards: &mut [Shard],
-    map: &ShardMap,
-    q: &mut EventQueue<(SimTime, Ev)>,
-    now: SimTime,
-    ev: Ev,
-) {
-    match ev {
-        Ev::AppSend { app } => {
-            let a = st.apps[app].clone();
-            let mut rec = StagedFlow::single(
-                st.next_pkt_id,
-                APP_FLOW_BASE + app as u64,
-                a.src,
-                a.dst,
-                a.pkt_bytes,
-                now,
-            );
-            st.next_pkt_id += 1;
-            st.offered_bytes += a.pkt_bytes as u64;
-            let host = a.src.index();
-            let sh = &mut shards[map.shard_of(host)];
-            let li = sh.local[host] as usize;
-            if st.gated(TrafficClass::Interactive) && !st.is_hw {
-                let d = a.dst.index();
-                let h = &mut sh.hosts[li];
-                sh.pool.push(&mut h.voq[d], rec.next().expect("one packet"));
-                h.voq_bytes[d] += a.pkt_bytes as u64;
-                h.voq_total += a.pkt_bytes as u64;
-                h.voq_arrived[d] += a.pkt_bytes as u64;
-                h.voq_dirty[d] = true;
-                if st.track_buffers {
-                    st.buffers.on_enqueue(Site::Host, a.pkt_bytes as u64, now);
-                }
-            } else {
-                sh.hosts[li].stage(rec);
-                sh.ensure_pump(now, host);
-            }
-            let next = a.next_send(now, &mut st.rng);
-            if next <= st.horizon {
-                q.schedule_at(next, (now, Ev::AppSend { app }));
-            }
-        }
-
-        Ev::EpochStart => {
-            // xlint: allow(wall-clock) — epoch phase-timing split (RunReport::phases): host-time observability, excluded from golden serialization
-            let phase_t0 = std::time::Instant::now();
-            for s in shards.iter() {
-                s.pool.debug_assert_conserved();
-            }
-            // Requests from every shard, merged into global (src, dst)
-            // order — identical to a full-fabric row-major scan.
-            let mut reqs = std::mem::take(&mut st.reqs_scratch);
-            reqs.clear();
-            for s in shards.iter_mut() {
-                if st.is_hw {
-                    let mut buf = std::mem::take(&mut s.req_scratch);
-                    s.proc.take_requests_into(now, &mut buf);
-                    reqs.extend_from_slice(&buf);
-                    s.req_scratch = buf;
-                } else {
-                    for (li, &hi) in s.ports.clone().iter().enumerate() {
-                        let h = &mut s.hosts[li];
-                        for d in 0..h.voq_dirty.len() {
-                            if h.voq_dirty[d] {
-                                h.voq_dirty[d] = false;
-                                reqs.push(SchedRequest {
-                                    src: hi,
-                                    dst: d,
-                                    queued_bytes: h.voq_bytes[d],
-                                    arrived_bytes_total: h.voq_arrived[d],
-                                    at: now,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            reqs.sort_unstable_by_key(|r| (r.src, r.dst));
-            for r in &reqs {
-                st.estimator.on_request(r);
-            }
-            st.reqs_scratch = reqs;
-            let have_ref = st.estimator.estimate_ref(now, st.cfg.epoch).is_some();
-            if !have_ref {
-                st.estimator
-                    .estimate_into(now, st.cfg.epoch, &mut st.demand_scratch);
-            }
-            let truth_total: u64 = if st.is_hw {
-                shards.iter().map(|s| s.proc.total_bytes()).sum()
-            } else {
-                shards
-                    .iter()
-                    .map(|s| s.hosts.iter().map(|h| h.voq_total).sum::<u64>())
-                    .sum()
-            };
-            let mut demand_err_rel: Option<f64> = None;
-            if st.estimator_is_mirror {
-                if truth_total > 0 {
-                    demand_err_rel = Some(0.0);
-                }
-            } else if st.want_demand_error {
-                if st.is_hw {
-                    for s in shards.iter() {
-                        s.proc.occupancy_rows_into(&mut st.truth_scratch);
-                    }
-                } else {
-                    for s in shards.iter() {
-                        for (li, &hi) in s.ports.iter().enumerate() {
-                            let h = &s.hosts[li];
-                            for d in 0..st.cfg.n_ports {
-                                st.truth_scratch.set(hi, d, h.voq_bytes[d]);
-                            }
-                        }
-                    }
-                }
-                let estimate = match st.estimator.estimate_ref(now, st.cfg.epoch) {
-                    Some(m) => m,
-                    None => &st.demand_scratch,
-                };
-                let (err_l1, tt) = estimate.error_vs(&st.truth_scratch);
-                debug_assert_eq!(tt, truth_total, "snapshot disagrees with running total");
-                if truth_total > 0 {
-                    demand_err_rel = Some(err_l1 as f64 / truth_total as f64);
-                }
-            }
-            let ctx = ScheduleCtx {
-                now,
-                line_rate: st.cfg.line_rate,
-                reconfig: st.cfg.reconfig,
-                epoch: st.cfg.epoch,
-                max_entries: st.cfg.max_entries,
-            };
-            let demand = match st.estimator.estimate_ref(now, st.cfg.epoch) {
-                Some(m) => m,
-                None => &st.demand_scratch,
-            };
-            // Mirrors the classic handler: dark ports are masked out of
-            // the demand the scheduler sees.
-            let demand = match &mut st.faults {
-                Some(fs) if fs.n_failed > 0 => fs.mask_demand(demand),
-                _ => demand,
-            };
-            // xlint: allow(wall-clock) — phase-timing block boundary (estimate → decompose), never serialized into goldens
-            let phase_t1 = std::time::Instant::now();
-            st.phases.estimate += phase_t1.duration_since(phase_t0).as_nanos() as u64;
-            let sched = st.scheduler.schedule(demand, &ctx);
-            // xlint: allow(wall-clock) — phase-timing block boundary (decompose end), never serialized into goldens
-            let phase_t2 = std::time::Instant::now();
-            st.phases.decompose += phase_t2.duration_since(phase_t1).as_nanos() as u64;
-            if let Some(obs) = st.scheduler.take_obs() {
-                st.counters.sched_memo_hits += obs.memo_hits;
-                st.counters.sched_hk_runs += obs.hk_runs;
-                st.counters.sched_probes += obs.probes;
-                st.counters.sched_worklist_peak =
-                    st.counters.sched_worklist_peak.max(obs.worklist_len);
-                st.counters.sched_bucket_peak = st.counters.sched_bucket_peak.max(obs.buckets_len);
-                if let Some(tr) = &mut st.trace {
-                    for s in &obs.spans {
-                        tr.span_between("sched", s.name, s.start, s.end, &[s.arg]);
-                    }
-                }
-            }
-            if let Some(tr) = &mut st.trace {
-                tr.span_between(
-                    "epoch",
-                    "epoch",
-                    phase_t0,
-                    phase_t2,
-                    &[("epoch", st.decisions)],
-                );
-                tr.span_between("epoch", "estimate", phase_t0, phase_t1, &[]);
-                tr.span_between(
-                    "epoch",
-                    "decompose",
-                    phase_t1,
-                    phase_t2,
-                    &[("entries", sched.entries.len() as u64)],
-                );
-            }
-            debug_assert!(
-                sched.validate(&ctx, st.cfg.n_ports).is_ok(),
-                "{} produced an invalid schedule",
-                st.scheduler.name()
-            );
-            let mut d = st
-                .cfg
-                .placement
-                .decision_latency(st.cfg.n_ports, &mut st.rng);
-            if let Some(fs) = &mut st.faults {
-                if let Some(extra) = fs.draw_stall(st.cfg.epoch) {
-                    d += extra;
-                    st.counters.fault_events_injected += 1;
-                }
-            }
-            st.decisions += 1;
-            st.decision_ns_sum += d.as_nanos() as u128;
-            st.epoch_probe.on_epoch(&EpochSample {
-                epoch: st.decisions - 1,
-                at: now,
-                demand_err_rel,
-                backlog_bytes: truth_total,
-                decision_ns: d.as_nanos(),
-                ocs_dark_ns: st.switching.ocs.stats().dark_time.as_nanos(),
-                entries: sched.entries.len(),
-            });
-            if !sched.entries.is_empty() {
-                let sid = st.alloc_sched(sched);
-                q.schedule_at(now + d, (now, Ev::ApplySchedule { sid }));
-            }
-            let next = now + st.cfg.epoch.max(d);
-            if next <= st.horizon {
-                q.schedule_at(next, (now, Ev::EpochStart));
-            }
-        }
-
-        Ev::ApplySchedule { sid } => {
-            q.schedule_at(now, (now, Ev::SlotConfigure { sid, idx: 0 }));
-        }
-
-        Ev::SlotConfigure { sid, idx } => {
-            let slot_fault = match &mut st.faults {
-                Some(fs) => fs.draw_misfire(),
-                None => SlotFault::None,
-            };
-            if slot_fault != SlotFault::None {
-                st.counters.fault_events_injected += 1;
-            }
-            if slot_fault == SlotFault::Stale {
-                st.faults
-                    .as_mut()
-                    .expect("stale draw implies a plan")
-                    .mark_stale(sid, idx);
-            }
-            let entry = &st.scheds[sid].as_ref().expect("schedule slot live").entries[idx];
-            let active_at = match slot_fault {
-                SlotFault::None => st.switching.configure(&entry.perm, now),
-                SlotFault::Late(extra) => st.switching.configure(&entry.perm, now + extra),
-                SlotFault::Stale => now + st.cfg.reconfig,
-            };
-            let slot_end = active_at + entry.slot;
-            if !st.is_hw && slot_fault != SlotFault::Stale {
-                let g = st.cfg.guard;
-                let gs = active_at + g;
-                let ge = SimTime::from_nanos(slot_end.as_nanos().saturating_sub(g.as_nanos()));
-                if ge > gs {
-                    // Grants fan out to each source's owning shard.
-                    for (i, j) in entry.perm.pairs() {
-                        shards[map.shard_of(i)].queue.schedule_at(
-                            now + st.ctrl_oneway,
-                            (
-                                now,
-                                SEv::HostGrant {
-                                    host: i,
-                                    dst: j,
-                                    slot_start: gs,
-                                    slot_end: ge,
-                                },
-                            ),
-                        );
-                    }
-                }
-            }
-            q.schedule_at(active_at, (now, Ev::SlotActive { sid, idx }));
-        }
-
-        Ev::SlotActive { sid, idx } => {
-            let sched = st.scheds[sid].take().expect("schedule slot live");
-            let entry = &sched.entries[idx];
-            let slot_end = now + entry.slot;
-            let stale = match &mut st.faults {
-                Some(fs) => fs.take_stale(sid, idx),
-                None => false,
-            };
-            if st.is_hw {
-                // xlint: allow(wall-clock) — apply phase-timing block start (RunReport::phases), excluded from golden serialization
-                let phase_t0 = std::time::Instant::now();
-                let budget = st.cfg.line_rate.bytes_in(entry.slot);
-                let mut granted = std::mem::take(&mut st.grant_scratch);
-                for (i, j) in entry.perm.pairs() {
-                    granted.clear();
-                    shards[map.shard_of(i)]
-                        .proc
-                        .dequeue_upto_into(i, j, budget, &mut granted);
-                    if granted.is_empty() {
-                        continue;
-                    }
-                    // Same circuit probe as the classic core: overlapping
-                    // stall-delayed schedules may have darkened or
-                    // re-aimed the fabric mid-slot.
-                    let diverted = stale
-                        || st.faults.as_ref().is_some_and(|fs| fs.pair_failed(i, j))
-                        || (st.faults.is_some() && st.switching.ocs.output_for(i, now) != Some(j));
-                    if diverted {
-                        // Mirrors the classic failover: the burst rides
-                        // the EPS instead of the faulted/stale circuit.
-                        for pkt in granted.drain(..) {
-                            let bytes = pkt.bytes as u64;
-                            if st.track_buffers {
-                                st.release_scratch.push((now.as_nanos(), bytes));
-                            }
-                            match st.switching.eps.enqueue(j, bytes, now) {
-                                Ok(dep) => {
-                                    st.counters.fault_failover_bytes += bytes;
-                                    let deliver = dep + st.cfg.host_link.propagation;
-                                    st.record_delivery(&pkt, deliver, DeliveryPath::Eps);
-                                }
-                                Err(()) => st.drop_sink.on_drop(DropCause::EpsFull, now),
-                            }
-                        }
-                        continue;
-                    }
-                    // xlint: allow(wall-clock) — flight-recorder grant-burst span start, gated on trace; wall-clock stays out of goldens
-                    let burst_t0 = st.trace.is_some().then(std::time::Instant::now);
-                    let npkts = granted.len() as u64;
-                    st.counters.grant_bursts += 1;
-                    st.counters.grant_pkts_max = st.counters.grant_pkts_max.max(npkts);
-                    let total: u64 = granted.iter().map(|p| p.bytes as u64).sum();
-                    st.switching
-                        .ocs
-                        .transmit_batch(i, j, total, npkts, now)
-                        .expect("granted circuit must be live");
-                    let mut cursor = now;
-                    for pkt in granted.drain(..) {
-                        let bytes = pkt.bytes as u64;
-                        let dep = cursor + st.line_tx.tx_time(bytes);
-                        cursor = dep;
-                        if st.track_buffers {
-                            st.release_scratch.push((dep.as_nanos(), bytes));
-                        }
-                        let deliver = dep + st.cfg.host_link.propagation;
-                        st.record_delivery(&pkt, deliver, DeliveryPath::Ocs);
-                    }
-                    if let (Some(t0), Some(tr)) = (burst_t0, &mut st.trace) {
-                        tr.span_between(
-                            "slot",
-                            "grant_burst",
-                            t0,
-                            // xlint: allow(wall-clock) — flight-recorder span end, trace-gated
-                            std::time::Instant::now(),
-                            &[("pkts", npkts)],
-                        );
-                    }
-                }
-                if st.track_buffers {
-                    let mut releases = std::mem::take(&mut st.release_scratch);
-                    st.buffers.on_dequeue_at_batch(Site::Switch, &mut releases);
-                    st.release_scratch = releases;
-                }
-                st.flush_deliveries();
-                st.grant_scratch = granted;
-                // xlint: allow(wall-clock) — apply phase-timing block end (RunReport::phases), excluded from golden serialization
-                let phase_t1 = std::time::Instant::now();
-                st.phases.apply += phase_t1.duration_since(phase_t0).as_nanos() as u64;
-                if let Some(tr) = &mut st.trace {
-                    tr.span_between(
-                        "epoch",
-                        "apply",
-                        phase_t0,
-                        phase_t1,
-                        &[("entry", idx as u64)],
-                    );
-                }
-            }
-            if idx + 1 < sched.entries.len() {
-                st.scheds[sid] = Some(sched);
-                q.schedule_at(slot_end, (now, Ev::SlotConfigure { sid, idx: idx + 1 }));
-            } else {
-                st.free_scheds.push(sid);
-            }
-        }
-
-        Ev::RotateMatrix { idx } => {
-            if let (Some(cycle), Some(g)) = (&st.matrix_cycle, &mut st.flowgen) {
-                g.set_matrix(cycle.matrices[idx % cycle.matrices.len()].clone());
-                let next = now + cycle.period;
-                if next <= st.horizon {
-                    q.schedule_at(next, (now, Ev::RotateMatrix { idx: idx + 1 }));
-                }
-            }
-        }
-
-        Ev::LinkFault => {
-            let fs = st.faults.as_mut().expect("LinkFault implies a plan");
-            let (port, repair_at, next) = fs.on_link_fault(now);
-            if let Some(at) = repair_at {
-                st.counters.fault_events_injected += 1;
-                q.schedule_at(at, (now, Ev::LinkRepair { port }));
-            }
-            if let Some(at) = next {
-                if at <= st.horizon {
-                    q.schedule_at(at, (now, Ev::LinkFault));
-                }
-            }
-        }
-
-        Ev::LinkRepair { port } => {
-            st.faults
-                .as_mut()
-                .expect("LinkRepair implies a plan")
-                .on_link_repair(port, now);
-        }
-
-        // Shard-local events never land on the coordinator queue.
-        Ev::NextFlow
-        | Ev::Pump { .. }
-        | Ev::SwitchIn { .. }
-        | Ev::HostGrant { .. }
-        | Ev::OcsIn { .. } => {
-            unreachable!("shard-local event on the coordinator queue")
+            } => co.buffers.on_dequeue_at(site, bytes, release),
         }
     }
 }

@@ -132,6 +132,11 @@ mod tests {
         assert!(b < 2 * a);
         // Iterations scale linearly.
         assert_eq!(HwAlgo::Islip { iterations: 4 }.schedule_cycles(16), 4 * a);
+        // The E7 (`exp_scalability`) table's islip_i3 column: 3 * (2*3+2)
+        // at 8 ports, 3 * (2*8+2) at 256.
+        let i3 = HwAlgo::Islip { iterations: 3 };
+        assert_eq!(i3.schedule_cycles(8), 24);
+        assert_eq!(i3.schedule_cycles(256), 54);
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //!   independent sub-streams are created with [`SimRng::fork`].
 //! * [`dist`] — sampling distributions used by the traffic generators
 //!   (uniform, exponential, bounded Pareto, log-normal, empirical CDF, Zipf).
-//! * [`rate`] — bit-rate arithmetic ([`BitRate`], transmission times, token
-//!   buckets).
+//! * [`rate`] — bit-rate arithmetic ([`BitRate`], transmission times).
 //!
 //! The design follows the session's networking guides: a synchronous,
 //! poll/event-driven core in the smoltcp tradition. The workload is CPU-bound
@@ -35,6 +34,6 @@ pub mod time;
 
 pub use dist::{Dist, EmpiricalCdf, Sample, Zipf};
 pub use event::{EventQueue, RunStats, Simulation};
-pub use rate::{BitRate, TokenBucket, TxTimeCache};
+pub use rate::{BitRate, TxTimeCache};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

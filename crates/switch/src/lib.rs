@@ -1,4 +1,4 @@
-//! # xds-switch — data-plane models: links, queues, EPS, OCS
+//! # xds-switch — data-plane models: links, EPS, OCS
 //!
 //! The *switching logic* partition of the paper's Figure 2, as laptop-scale
 //! models (per DESIGN.md's substitution table):
@@ -6,7 +6,6 @@
 //! * [`Permutation`] — a (partial) input→output matching, the unit of
 //!   circuit configuration the scheduler hands to the OCS;
 //! * [`Link`] — rate + propagation delay;
-//! * [`DropTailQueue`] — bounded FIFO used for VOQs and host queues;
 //! * [`Eps`] — an output-queued electrical packet switch carrying the
 //!   "residual traffic and short bursts";
 //! * [`Ocs`] — an optical circuit switch with a configurable reconfiguration
@@ -23,11 +22,9 @@ pub mod eps;
 pub mod link;
 pub mod ocs;
 pub mod perm;
-pub mod queue;
 
 pub use buffer::{BufferTracker, Site};
 pub use eps::{Eps, EpsStats};
 pub use link::Link;
 pub use ocs::{Ocs, OcsError, OcsStats};
 pub use perm::Permutation;
-pub use queue::DropTailQueue;

@@ -16,7 +16,7 @@
 //! | crate | role |
 //! |---|---|
 //! | [`sim`] | deterministic discrete-event kernel (ns clock, seeded RNG) |
-//! | [`net`] | packets, wire formats, TCAM/LPM classification |
+//! | [`net`] | packet descriptors, ports and traffic classes |
 //! | [`traffic`] | data-center workloads (heavy-tailed flows, VOIP apps) |
 //! | [`switch`] | EPS, OCS (dark reconfiguration windows), buffer tracking |
 //! | [`hw`] | hardware/software scheduler timing, sync, FPGA resources |
@@ -86,7 +86,7 @@ pub mod prelude {
         ClockDomain, HwAlgo, HwSchedulerModel, Pipeline, Stage, SwSchedulerModel, SyncModel,
     };
     pub use xds_metrics::{fmt_bytes, fmt_f64, LatencyHistogram, SizeClass, Table};
-    pub use xds_net::{FiveTuple, IpProtocol, Packet, PortNo, TrafficClass};
+    pub use xds_net::{Packet, PortNo, TrafficClass};
     pub use xds_scenario::{
         library as scenario_library, AppMix, EstimatorKind, PlacementKind, ScenarioSpec,
         SchedulerKind, SweepExecutor, SweepGrid, TrafficPattern,
