@@ -1,7 +1,7 @@
-//! Utilization accounting, plus the deterministic internal-counters
-//! registry ([`CounterSet`]).
+//! Throughput and utilization accounting, plus the deterministic
+//! internal-counters registry ([`CounterSet`]).
 
-use xds_sim::SimDuration;
+use xds_sim::{SimDuration, SimTime};
 
 /// How a counter combines when two registries covering disjoint parts
 /// of one run (per-shard banks, per-pool ledgers) are folded together.
@@ -201,6 +201,60 @@ impl CounterSet {
     }
 }
 
+/// Byte counter with first/last timestamps; reports achieved rate.
+#[derive(Debug, Clone, Default)]
+pub struct Throughput {
+    bytes: u64,
+    packets: u64,
+    first: Option<SimTime>,
+    last: Option<SimTime>,
+}
+
+impl Throughput {
+    /// Creates an empty counter.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records `bytes` delivered at `at`.
+    pub fn record(&mut self, bytes: u64, at: SimTime) {
+        self.bytes += bytes;
+        self.packets += 1;
+        if self.first.is_none() {
+            self.first = Some(at);
+        }
+        self.last = Some(at);
+    }
+
+    /// Total bytes recorded.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Total packets recorded.
+    pub fn packets(&self) -> u64 {
+        self.packets
+    }
+
+    /// Achieved rate in Gb/s over an explicit window (used when the
+    /// measurement window is the experiment duration, not first→last
+    /// packet).
+    pub fn gbps_over(&self, window: SimDuration) -> f64 {
+        if window.is_zero() {
+            return 0.0;
+        }
+        self.bytes as f64 * 8.0 / window.as_secs_f64() / 1e9
+    }
+
+    /// Achieved rate in Gb/s between the first and last recorded packet.
+    pub fn gbps_observed(&self) -> f64 {
+        match (self.first, self.last) {
+            (Some(a), Some(b)) if b > a => self.gbps_over(b - a),
+            _ => 0.0,
+        }
+    }
+}
+
 /// Busy-time accumulator: fraction of a window a resource (OCS circuit, EPS
 /// port, scheduler pipeline) spent doing useful work.
 #[derive(Debug, Clone, Default)]
@@ -374,6 +428,34 @@ mod tests {
             _ => unreachable!(),
         }
         c
+    }
+
+    #[test]
+    fn throughput_rates() {
+        let mut tp = Throughput::new();
+        // 1250 bytes in 1 µs = 10 Gb/s.
+        tp.record(1000, SimTime::from_nanos(0));
+        tp.record(250, SimTime::from_micros(1));
+        assert_eq!(tp.bytes(), 1250);
+        assert_eq!(tp.packets(), 2);
+        let g = tp.gbps_observed();
+        assert!((g - 10.0).abs() < 1e-9, "gbps {g}");
+        let g2 = tp.gbps_over(SimDuration::from_micros(2));
+        assert!((g2 - 5.0).abs() < 1e-9, "gbps {g2}");
+    }
+
+    #[test]
+    fn empty_throughput_is_zero() {
+        let tp = Throughput::new();
+        assert_eq!(tp.gbps_observed(), 0.0);
+        assert_eq!(tp.gbps_over(SimDuration::ZERO), 0.0);
+    }
+
+    #[test]
+    fn single_packet_has_no_observed_window() {
+        let mut tp = Throughput::new();
+        tp.record(1500, SimTime::from_nanos(10));
+        assert_eq!(tp.gbps_observed(), 0.0);
     }
 
     #[test]

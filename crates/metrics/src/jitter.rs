@@ -4,7 +4,8 @@
 //! "can increase the overall traffic latency and jitter of widely used
 //! applications (i.e., VOIP, multiuser gaming etc.)". Experiment E4
 //! quantifies that with the estimator VOIP actually uses: the RFC 3550
-//! interarrival jitter.
+//! interarrival jitter, plus a plain inter-arrival standard deviation for
+//! cross-checking.
 
 use xds_sim::SimTime;
 
@@ -53,9 +54,66 @@ impl Rfc3550Jitter {
     }
 }
 
+/// Mean / standard deviation of packet inter-arrival gaps at the receiver —
+/// the raw signal behind audible VOIP degradation.
+#[derive(Debug, Clone, Default)]
+pub struct InterArrival {
+    last: Option<SimTime>,
+    n: u64,
+    mean_ns: f64,
+    m2: f64,
+    max_gap_ns: u64,
+}
+
+impl InterArrival {
+    /// Creates an estimator with no history.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Feeds one arrival timestamp (must be fed in arrival order).
+    pub fn on_arrival(&mut self, at: SimTime) {
+        if let Some(prev) = self.last {
+            let gap = at.saturating_since(prev).as_nanos();
+            self.max_gap_ns = self.max_gap_ns.max(gap);
+            // Welford's online algorithm.
+            self.n += 1;
+            let delta = gap as f64 - self.mean_ns;
+            self.mean_ns += delta / self.n as f64;
+            self.m2 += delta * (gap as f64 - self.mean_ns);
+        }
+        self.last = Some(at);
+    }
+
+    /// Number of gaps observed.
+    pub fn gaps(&self) -> u64 {
+        self.n
+    }
+
+    /// Mean gap in nanoseconds.
+    pub fn mean_ns(&self) -> f64 {
+        self.mean_ns
+    }
+
+    /// Standard deviation of gaps in nanoseconds (0 with < 2 gaps).
+    pub fn stddev_ns(&self) -> f64 {
+        if self.n < 2 {
+            0.0
+        } else {
+            (self.m2 / (self.n - 1) as f64).sqrt()
+        }
+    }
+
+    /// Largest gap in nanoseconds.
+    pub fn max_gap_ns(&self) -> u64 {
+        self.max_gap_ns
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xds_sim::SimDuration;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -98,5 +156,28 @@ mod tests {
         assert!((j.jitter_ns() - 1.25).abs() < 1e-9);
         j.on_packet(t(200), t(230)); // transit 30, D = 0 → J = 1.25 - 1.25/16
         assert!((j.jitter_ns() - (1.25 - 1.25 / 16.0)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn interarrival_stats() {
+        let mut ia = InterArrival::new();
+        let base = t(0);
+        // Gaps: 10, 20, 30 → mean 20, sample stddev 10.
+        ia.on_arrival(base);
+        ia.on_arrival(base + SimDuration::from_nanos(10));
+        ia.on_arrival(base + SimDuration::from_nanos(30));
+        ia.on_arrival(base + SimDuration::from_nanos(60));
+        assert_eq!(ia.gaps(), 3);
+        assert!((ia.mean_ns() - 20.0).abs() < 1e-9);
+        assert!((ia.stddev_ns() - 10.0).abs() < 1e-9);
+        assert_eq!(ia.max_gap_ns(), 30);
+    }
+
+    #[test]
+    fn interarrival_single_packet_is_degenerate() {
+        let mut ia = InterArrival::new();
+        ia.on_arrival(t(5));
+        assert_eq!(ia.gaps(), 0);
+        assert_eq!(ia.stddev_ns(), 0.0);
     }
 }

@@ -10,7 +10,7 @@
 //!   the metric the paper's VOIP claim (§2) is about;
 //! * [`FctTracker`] — flow-completion-time tracking with mice / medium /
 //!   elephant size classes;
-//! * [`Utilization`] — busy-time ratios;
+//! * [`Throughput`] / [`Utilization`] — byte counters and busy-time ratios;
 //! * [`CounterSet`] — the deterministic internal-counters registry the
 //!   runtime's flight recorder reports through;
 //! * [`TimeSeries`] — decimating series for occupancy-over-time plots;
@@ -31,10 +31,10 @@ pub mod series;
 pub use compose::{
     exp_wait_quantile, percentile_of, record_wait_population, relative_error, QUANTILE_KNOTS,
 };
-pub use counters::{CounterKind, CounterSet, Utilization};
+pub use counters::{CounterKind, CounterSet, Throughput, Utilization};
 pub use fasthash::{FastHashBuilder, FastHashMap, FastHasher};
 pub use fct::{FctStats, FctTracker, SizeClass};
 pub use hist::LatencyHistogram;
-pub use jitter::Rfc3550Jitter;
+pub use jitter::{InterArrival, Rfc3550Jitter};
 pub use report::{fmt_bytes, fmt_f64, Table};
 pub use series::{EpochRow, EpochSeries, TimeSeries};
